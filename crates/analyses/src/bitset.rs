@@ -531,25 +531,6 @@ impl VarSet {
         self.iter().filter(|&k| !other.contains(k)).collect()
     }
 
-    /// Returns `true` if every element of `self` is in `other`. Dense/dense
-    /// checks one word at a time (`self & !other == 0`); array-backed pairs
-    /// are a linear scan over the sorted keys.
-    pub fn is_subset_of(&self, other: &VarSet) -> bool {
-        if self.len() > other.len() {
-            return false;
-        }
-        if let (VarSet::Dense { words, .. }, VarSet::Dense { words: ow, .. }) = (self, other) {
-            return words
-                .iter()
-                .enumerate()
-                .all(|(i, w)| *w & !ow.get(i).copied().unwrap_or(0) == 0);
-        }
-        if let (Some(a), Some(b)) = (self.sorted_slice(), other.sorted_slice()) {
-            return sorted_is_subset(a, b);
-        }
-        self.iter().all(|k| other.contains(k))
-    }
-
     /// Returns `true` if the sets share at least one element.
     pub fn intersects(&self, other: &VarSet) -> bool {
         if self.len() > other.len() {
@@ -1024,24 +1005,5 @@ mod tests {
             assert_eq!(diff.len(), want.len());
             assert_eq!(diff.iter().collect::<Vec<_>>(), want);
         }
-    }
-
-    #[test]
-    fn is_subset_of_across_representations() {
-        let small = VarSet::from_iter([3, 7]);
-        let sparse = VarSet::from_iter([1, 3, 5, 7]);
-        let dense: VarSet = (0..200).collect();
-        let empty = VarSet::new();
-        assert!(small.is_subset_of(&sparse));
-        assert!(small.is_subset_of(&dense));
-        assert!(!sparse.is_subset_of(&small));
-        assert!(empty.is_subset_of(&small));
-        assert!(sparse.is_subset_of(&dense));
-        assert!(!dense.is_subset_of(&sparse));
-        let dense2: VarSet = (0..150).collect();
-        assert!(dense2.is_subset_of(&dense));
-        assert!(!dense.is_subset_of(&dense2));
-        let with_tail = VarSet::from_iter([0, 1, 400]);
-        assert!(!with_tail.is_subset_of(&dense));
     }
 }

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 
 use bootstrap_analyses::bitset::VarSet;
 use bootstrap_analyses::unionfind::UnionFind;
-use bootstrap_analyses::{andersen, oneflow, steensgaard};
+use bootstrap_analyses::{andersen, steensgaard};
 use bootstrap_ir::{Program, ProgramBuilder, VarId};
 use proptest::prelude::*;
 
@@ -126,23 +126,17 @@ fn build_program(ops: &[(u8, u8, u8)], n_ptrs: usize, n_objs: usize) -> Program 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Precision ordering of the cascade: Andersen ⊆ One-Flow, and both
-    /// are refinements of Steensgaard (any Andersen points-to fact lands
-    /// in the Steensgaard pointee class).
+    /// Precision ordering of the cascade: Andersen refines Steensgaard
+    /// (any Andersen points-to fact lands in the Steensgaard pointee
+    /// class).
     #[test]
     fn cascade_precision_ordering(ops in prop::collection::vec((0u8..5, 0u8..8, 0u8..8), 1..60)) {
         let program = build_program(&ops, 8, 4);
         let an = andersen::analyze(&program);
-        let of = oneflow::analyze(&program);
         let st = steensgaard::analyze(&program);
         for v in program.var_ids() {
             for o in an.points_to(v).iter() {
                 let obj = VarId::new(o as usize);
-                prop_assert!(
-                    of.points_to(v).contains(o),
-                    "One-Flow lost {} -> {}",
-                    program.var(v).name(), program.var(obj).name()
-                );
                 let pointee = st.pointee(st.class_of(v));
                 prop_assert_eq!(
                     pointee,
@@ -154,54 +148,27 @@ proptest! {
         }
     }
 
-    /// The cycle-collapsing solver computes exactly the same points-to
-    /// sets as the baseline solver.
-    #[test]
-    fn cycle_collapse_is_lossless(ops in prop::collection::vec((0u8..5, 0u8..8, 0u8..8), 1..80)) {
-        let program = build_program(&ops, 8, 4);
-        let baseline = andersen::analyze_with(&program, andersen::SolverOptions::baseline());
-        let collapsed = andersen::analyze_with(
-            &program,
-            andersen::SolverOptions { collapse_cycles: true, ..andersen::SolverOptions::baseline() },
-        );
-        for v in program.var_ids() {
-            prop_assert_eq!(baseline.points_to_vars(v), collapsed.points_to_vars(v));
-        }
-    }
-
-    /// Every fast-solver configuration — hybrid cycle elimination on/off ×
-    /// wave ordering on/off × periodic sweep on/off × eager vs adaptive
-    /// engagement — computes exactly the same points-to sets as the naive
-    /// full-set oracle. This keeps the periodic-sweep and naive solvers
-    /// honest as oracles and pins the new default (adaptively engaged
-    /// hybrid + wave) to them.
+    /// The solver, adaptive and with its cycle machinery engaged from the
+    /// first pop, computes exactly the same points-to sets as the naive
+    /// full-set oracle.
     #[test]
     fn all_solver_options_match_naive(ops in prop::collection::vec((0u8..5, 0u8..8, 0u8..8), 1..80)) {
         let program = build_program(&ops, 8, 4);
         let naive = andersen::analyze_with(&program, andersen::SolverOptions::naive_oracle());
-        for hybrid_cycles in [false, true] {
-            for wave in [false, true] {
-                for collapse_cycles in [false, true] {
-                    for eager_cycles in [false, true] {
-                        let options = andersen::SolverOptions {
-                            collapse_cycles,
-                            naive: false,
-                            hybrid_cycles,
-                            eager_cycles,
-                            wave,
-                        };
-                        let fast = andersen::analyze_with(&program, options);
-                        for v in program.var_ids() {
-                            prop_assert_eq!(
-                                naive.points_to_vars(v),
-                                fast.points_to_vars(v),
-                                "mismatch for {} ({:?})",
-                                program.var(v).name(),
-                                options
-                            );
-                        }
-                    }
-                }
+        for eager_cycles in [false, true] {
+            let options = andersen::SolverOptions {
+                eager_cycles,
+                ..Default::default()
+            };
+            let fast = andersen::analyze_with(&program, options);
+            for v in program.var_ids() {
+                prop_assert_eq!(
+                    naive.points_to_vars(v),
+                    fast.points_to_vars(v),
+                    "mismatch for {} ({:?})",
+                    program.var(v).name(),
+                    options
+                );
             }
         }
     }
@@ -217,30 +184,24 @@ proptest! {
     ) {
         let program = build_program(&ops, 8, 4);
         let naive = andersen::analyze_with(&program, andersen::SolverOptions::naive_oracle());
-        for wave in [false, true] {
-            // Eager engagement: these programs are small enough that the
-            // adaptive drain usually converges before the thrash detector
-            // would bring the merge machinery in at all.
-            let options = andersen::SolverOptions {
-                collapse_cycles: false,
-                naive: false,
-                hybrid_cycles: true,
-                eager_cycles: true,
-                wave,
-            };
-            let fast = andersen::analyze_with(&program, options);
-            for group in fast.merged_groups() {
-                let first = &group[0];
-                for member in &group[1..] {
-                    prop_assert_eq!(
-                        naive.points_to_vars(*first),
-                        naive.points_to_vars(*member),
-                        "overshared merge {} ~ {} (wave={})",
-                        program.var(*first).name(),
-                        program.var(*member).name(),
-                        wave
-                    );
-                }
+        // Eager engagement: these programs are small enough that the
+        // adaptive drain usually converges before the thrash detector would
+        // bring the merge machinery in at all.
+        let options = andersen::SolverOptions {
+            eager_cycles: true,
+            ..Default::default()
+        };
+        let fast = andersen::analyze_with(&program, options);
+        for group in fast.merged_groups() {
+            let first = &group[0];
+            for member in &group[1..] {
+                prop_assert_eq!(
+                    naive.points_to_vars(*first),
+                    naive.points_to_vars(*member),
+                    "overshared merge {} ~ {}",
+                    program.var(*first).name(),
+                    program.var(*member).name()
+                );
             }
         }
     }

@@ -5,15 +5,12 @@
 //!    and max-part FSCS time as the threshold moves;
 //! 2. **Constraint cap** (Definition 8 widening) — summary tuple counts
 //!    and time as the conjunction cap grows;
-//! 3. **Real-thread parallel speedup** (§1's parallelization claim);
-//! 4. **Middle cascade stage** — Steensgaard→Andersen vs
-//!    Steensgaard→One-Flow→Andersen;
-//! 5. **Andersen solver** — baseline worklist vs. cycle collapsing.
+//! 3. **Real-thread parallel speedup** (§1's parallelization claim).
 
 use std::time::Duration;
 
 use bootstrap_bench::fmt_secs;
-use bootstrap_core::{parallel, Config, MiddleStage, Session};
+use bootstrap_core::{parallel, Config, Session};
 use bootstrap_workloads::presets;
 
 fn main() {
@@ -101,56 +98,5 @@ fn main() {
         }
         let speedup = base.as_secs_f64() / wall.as_secs_f64().max(1e-9);
         println!("{threads:>8} {:>10} {speedup:>7.2}x", fmt_secs(wall));
-    }
-
-    println!();
-    println!("== Ablation 4: cascade middle stage (Steensgaard -> [One-Flow] -> Andersen) ==");
-    println!(
-        "{:>10} {:>9} {:>7} {:>10} {:>10}",
-        "stage", "clusters", "max", "clust-time", "fscs"
-    );
-    for (label, stage) in [
-        ("none", MiddleStage::None),
-        ("oneflow", MiddleStage::OneFlow),
-    ] {
-        let session = Session::new(
-            &program,
-            Config {
-                middle_stage: stage,
-                ..Config::default()
-            },
-        );
-        let cover = session.cover().clone();
-        let (reports, total) =
-            parallel::timed(|| parallel::process_clusters(&session, cover.clusters(), steps));
-        let _ = reports;
-        println!(
-            "{label:>10} {:>9} {:>7} {:>10} {:>10}",
-            cover.len(),
-            cover.max_cluster_size(),
-            fmt_secs(session.timings().clustering),
-            fmt_secs(total)
-        );
-    }
-
-    println!();
-    println!("== Ablation 5: Andersen solver — baseline vs cycle collapsing ==");
-    let big = presets::by_name("clamd").expect("clamd preset").generate();
-    println!("{:>12} {:>10}", "solver", "time");
-    for (label, opts) in [
-        (
-            "baseline",
-            bootstrap_analyses::andersen::SolverOptions::default(),
-        ),
-        (
-            "collapse",
-            bootstrap_analyses::andersen::SolverOptions {
-                collapse_cycles: true,
-                ..Default::default()
-            },
-        ),
-    ] {
-        let (_, wall) = parallel::timed(|| bootstrap_analyses::andersen::analyze_with(&big, opts));
-        println!("{label:>12} {:>10}", fmt_secs(wall));
     }
 }

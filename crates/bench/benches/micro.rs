@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks for the individual analysis stages:
-//! Steensgaard, One-Flow and Andersen scaling with program size, the
+//! Steensgaard and Andersen scaling with program size, the
 //! frontend, Algorithm 1 slicing, and single-cluster FSCS work.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use bootstrap_analyses::{andersen, oneflow, steensgaard};
+use bootstrap_analyses::{andersen, steensgaard};
 use bootstrap_core::{relevant, AnalysisBudget, Config, Session};
 use bootstrap_workloads::{figures, generator, BigPartition, GenConfig};
 
@@ -38,9 +38,6 @@ fn bench_flow_insensitive(c: &mut Criterion) {
         );
         group.bench_with_input(BenchmarkId::new("andersen", pointers), &program, |b, p| {
             b.iter(|| andersen::analyze(p))
-        });
-        group.bench_with_input(BenchmarkId::new("oneflow", pointers), &program, |b, p| {
-            b.iter(|| oneflow::analyze(p))
         });
     }
     group.finish();

@@ -115,8 +115,8 @@ mod tests {
         let c = Client::new("/tmp/nowhere.sock");
         let a0 = c.backoff_ms(0, None);
         let a3 = c.backoff_ms(3, None);
-        assert!(a0 >= 10 && a0 <= 20, "{a0}");
-        assert!(a3 >= 80 && a3 <= 160, "{a3}");
+        assert!((10..=20).contains(&a0), "{a0}");
+        assert!((80..=160).contains(&a3), "{a3}");
         assert_eq!(a0, c.backoff_ms(0, None), "jitter must be deterministic");
         // Different seeds land on different points in the window.
         let mut other = Client::new("/tmp/nowhere.sock");
@@ -127,7 +127,7 @@ mod tests {
         );
         // The server hint overrides the base.
         let h = c.backoff_ms(0, Some(500));
-        assert!(h >= 250 && h <= 500, "{h}");
+        assert!((250..=500).contains(&h), "{h}");
         // Large attempts saturate at the cap's window.
         assert!(c.backoff_ms(30, None) <= MAX_BACKOFF_MS);
     }

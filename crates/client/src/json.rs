@@ -89,71 +89,58 @@ impl Json {
             _ => None,
         }
     }
+}
 
-    /// Serializes to compact JSON text.
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
+impl fmt::Display for Json {
+    /// Compact JSON text: no whitespace, object keys in sorted order, and
+    /// non-finite numbers as `null`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(v) => {
-                let _ = fmt::Write::write_fmt(out, format_args!("{v}"));
-            }
-            Json::Num(v) => {
-                if v.is_finite() {
-                    let _ = fmt::Write::write_fmt(out, format_args!("{v}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
+            Json::Int(v) => write!(f, "{v}"),
+            Json::Num(v) if v.is_finite() => write!(f, "{v}"),
+            Json::Num(_) => f.write_str("null"),
+            Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
-                out.push('[');
+                f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        f.write_str(",")?;
                     }
-                    item.write(out);
+                    write!(f, "{item}")?;
                 }
-                out.push(']');
+                f.write_str("]")
             }
             Json::Obj(map) => {
-                out.push('{');
+                f.write_str("{")?;
                 for (i, (k, v)) in map.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        f.write_str(",")?;
                     }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write(out);
+                    write_escaped(f, k)?;
+                    write!(f, ":{v}")?;
                 }
-                out.push('}');
+                f.write_str("}")
             }
         }
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => fmt::Write::write_char(f, c)?,
         }
     }
-    out.push('"');
+    f.write_str("\"")
 }
 
 /// A parse failure, with the byte offset where it was detected.
@@ -456,6 +443,28 @@ mod tests {
         ]);
         let text = v.to_string();
         assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn compact_text_is_pinned() {
+        let v = Json::obj([
+            ("s", Json::str("q\"\\\n\r\t\u{1}\u{e9}")),
+            (
+                "n",
+                Json::Arr(vec![
+                    Json::Int(-42),
+                    Json::Num(0.5),
+                    Json::Num(f64::NAN),
+                    Json::Num(1e21),
+                ]),
+            ),
+            ("b", Json::Bool(false)),
+            ("z", Json::Null),
+        ]);
+        assert_eq!(
+            v.to_string(),
+            r#"{"b":false,"n":[-42,0.5,null,1000000000000000000000],"s":"q\"\\\n\r\t\u0001é","z":null}"#
+        );
     }
 
     #[test]

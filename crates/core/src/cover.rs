@@ -29,13 +29,6 @@ pub enum ClusterOrigin {
         /// The shared pointed-to object.
         object: Option<VarId>,
     },
-    /// A One-Flow cluster (optional middle cascade stage).
-    OneFlow {
-        /// The parent Steensgaard partition.
-        partition: ClassId,
-        /// The shared pointed-to object.
-        object: Option<VarId>,
-    },
 }
 
 /// One pointer cluster.

@@ -33,11 +33,11 @@ use std::sync::Arc;
 
 use bootstrap_analyses::SteensgaardResult;
 use bootstrap_ir::{CallGraph, CallTarget, FuncId, Loc, Program, Stmt, StmtIdx, VarId};
+use bootstrap_store::FxBuildHasher;
 
 use crate::budget::{AnalysisBudget, Outcome};
 use crate::constraint::{Atom, Cond};
 use crate::degrade::{DegradeReason, FaultPhase, FaultPlan};
-use crate::fxhash::FxHashSet;
 use crate::intern::{ArenaFull, CondId, DeadId, DeadVars, Interner};
 use crate::relevant::{
     modifying_functions, relevant_statements_indexed, RelevantIndex, RelevantSet,
@@ -662,7 +662,8 @@ impl ClusterEngine {
             consulted: Vec::new(),
         };
         let mut queue: Vec<(StmtIdx, VarId, CondId, DeadId)> = Vec::new();
-        let mut processed: FxHashSet<(StmtIdx, VarId, CondId, DeadId)> = FxHashSet::default();
+        let mut processed: HashSet<(StmtIdx, VarId, CondId, DeadId), FxBuildHasher> =
+            HashSet::default();
         if before == 0 {
             out.results.push((Value::Ptr(target), CondId::TOP));
             return Outcome::Done(out);

@@ -177,9 +177,7 @@ pub fn diff_and_adopt(prev: &PartitionSnapshot, session: &Session<'_>) -> DirtyR
 fn cluster_class(origin: &ClusterOrigin) -> Option<ClassId> {
     match origin {
         ClusterOrigin::Steensgaard(class) => Some(*class),
-        ClusterOrigin::Andersen { partition, .. } | ClusterOrigin::OneFlow { partition, .. } => {
-            Some(*partition)
-        }
+        ClusterOrigin::Andersen { partition, .. } => Some(*partition),
         ClusterOrigin::WholeProgram => None,
     }
 }

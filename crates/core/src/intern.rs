@@ -20,14 +20,15 @@
 //! memo keys do not need to carry it; engines reject a shared arena whose
 //! cap differs from their own and fall back to a private one.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bootstrap_ir::{Program, VarId};
+use bootstrap_store::FxBuildHasher;
 use parking_lot::RwLock;
 
 use crate::constraint::{Atom, Cond};
-use crate::fxhash::FxHashMap;
 
 /// The arena ran out of ids: interning one more distinct value would
 /// exceed the table's id capacity (at most `u32::MAX` values, or the lower
@@ -112,7 +113,7 @@ impl DeadVars {
 /// One hash-consing table: dense id → value storage plus the reverse map.
 struct Table<T> {
     items: Vec<Arc<T>>,
-    ids: FxHashMap<Arc<T>, u32>,
+    ids: HashMap<Arc<T>, u32, FxBuildHasher>,
     /// Distinct values this table may hold; interning past it is an
     /// [`ArenaFull`] error rather than an id wrap.
     max_ids: u32,
@@ -122,7 +123,7 @@ impl<T: Eq + std::hash::Hash> Table<T> {
     fn with_zero(zero: T, max_ids: u32) -> Self {
         let mut t = Table {
             items: Vec::new(),
-            ids: FxHashMap::default(),
+            ids: HashMap::default(),
             max_ids,
         };
         t.intern(zero).expect("capacity admits the zero slot");
@@ -177,15 +178,15 @@ pub struct Interner {
     conds: RwLock<Table<Cond>>,
     deads: RwLock<Table<DeadVars>>,
     /// `(cond, atom) → cond ∧ atom`; `None` records a contradiction.
-    and_atom: RwLock<FxHashMap<(u32, Atom), Option<CondId>>>,
+    and_atom: RwLock<HashMap<(u32, Atom), Option<CondId>, FxBuildHasher>>,
     /// `(cond, cond) → conjunction`; `None` records a contradiction.
-    and_cond: RwLock<FxHashMap<(u32, u32), Option<CondId>>>,
+    and_cond: RwLock<HashMap<(u32, u32), Option<CondId>, FxBuildHasher>>,
     /// `cond → cond` with path literals removed.
-    drop_branch: RwLock<FxHashMap<u32, CondId>>,
+    drop_branch: RwLock<HashMap<u32, CondId, FxBuildHasher>>,
     /// `(dead, var) → dead ∪ {var}`.
-    kills: RwLock<FxHashMap<(u32, u32), DeadId>>,
+    kills: RwLock<HashMap<(u32, u32), DeadId, FxBuildHasher>>,
     /// `dead → dead` with the globals flag set.
-    kill_globals: RwLock<FxHashMap<u32, DeadId>>,
+    kill_globals: RwLock<HashMap<u32, DeadId, FxBuildHasher>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -212,11 +213,11 @@ impl Interner {
             cap,
             conds: RwLock::new(Table::with_zero(Cond::top(), max_ids)),
             deads: RwLock::new(Table::with_zero(DeadVars::default(), max_ids)),
-            and_atom: RwLock::new(FxHashMap::default()),
-            and_cond: RwLock::new(FxHashMap::default()),
-            drop_branch: RwLock::new(FxHashMap::default()),
-            kills: RwLock::new(FxHashMap::default()),
-            kill_globals: RwLock::new(FxHashMap::default()),
+            and_atom: RwLock::new(HashMap::default()),
+            and_cond: RwLock::new(HashMap::default()),
+            drop_branch: RwLock::new(HashMap::default()),
+            kills: RwLock::new(HashMap::default()),
+            kill_globals: RwLock::new(HashMap::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }

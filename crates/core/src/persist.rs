@@ -38,7 +38,7 @@ use parking_lot::RwLock;
 use crate::constraint::{Atom, Cond};
 use crate::degrade::FaultPhase;
 use crate::engine::ClusterEngine;
-use crate::session::{Config, MiddleStage, QueryRecord, Session};
+use crate::session::{Config, QueryRecord, Session};
 use crate::summary::{Source, SummaryKey, Value};
 
 /// The session-side face of the persistent store: one per session,
@@ -267,10 +267,6 @@ fn options_hash(config: &Config) -> u64 {
     h.write_u64(u64::from(config.alias_on_null));
     h.write_u64(config.oracle_step_budget);
     h.write_u64(config.query_step_budget);
-    h.write_u64(match config.middle_stage {
-        MiddleStage::None => 0,
-        MiddleStage::OneFlow => 1,
-    });
     h.write_u64(u64::from(config.path_sensitive));
     h.write_u64(u64::from(config.interner_max_ids));
     h.finish()

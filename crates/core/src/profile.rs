@@ -15,8 +15,7 @@ use std::time::Duration;
 pub enum Phase {
     /// Steensgaard's unification analysis + initial partitioning.
     Steensgaard,
-    /// The bootstrapped Andersen (or One-Flow) refinement of oversized
-    /// partitions.
+    /// The bootstrapped Andersen refinement of oversized partitions.
     Andersen,
     /// Relevant-statement slicing and engine setup (Algorithm 1).
     Relevant,
@@ -132,7 +131,7 @@ impl PhaseProfile {
 pub struct PhaseSnapshot {
     /// Steensgaard partitioning.
     pub steensgaard: PhaseStats,
-    /// Andersen / One-Flow refinement.
+    /// Andersen refinement.
     pub andersen: PhaseStats,
     /// Relevant-statement slicing and engine setup.
     pub relevant: PhaseStats,

@@ -5,8 +5,8 @@
 //! 1. Steensgaard's analysis partitions the pointers (disjoint cover);
 //! 2. partitions larger than the *Andersen threshold* (the paper found 60
 //!    empirically) are re-analyzed — restricted to their relevant
-//!    statements — with Andersen's analysis (optionally with a One-Flow
-//!    stage in between), breaking them into smaller clusters;
+//!    statements — with Andersen's analysis, breaking them into smaller
+//!    clusters;
 //! 3. queries and benchmarks then run per cluster through an
 //!    [`crate::analyzer::Analyzer`].
 //!
@@ -19,8 +19,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bootstrap_analyses::{andersen, oneflow, steensgaard, SteensgaardResult};
-use bootstrap_ir::{CallGraph, FuncId, Loc, Program, Stmt, VarId};
+use bootstrap_analyses::{andersen, steensgaard, SteensgaardResult};
+use bootstrap_ir::{CallGraph, FuncId, Loc, Program, VarId};
 use bootstrap_store::{StoreConfig, StoreCounters};
 use parking_lot::RwLock;
 
@@ -36,23 +36,13 @@ use crate::fsci_cache::{FsciCacheStats, SharedFsciCache};
 use crate::intern::{Interner, InternerStats};
 use crate::persist::ClusterStore;
 use crate::profile::{Phase, PhaseProfile, PhaseSnapshot};
-use crate::relevant::{relevant_statements_indexed, RelevantIndex};
+use crate::relevant::{relevant_statements_indexed, RelevantIndex, RelevantSet};
 use crate::summary::Source;
-
-/// Which analyses the cascade runs on oversized partitions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum MiddleStage {
-    /// Steensgaard → Andersen (the paper's default cascade).
-    #[default]
-    None,
-    /// Steensgaard → One-Flow → Andersen (the paper's suggested extension).
-    OneFlow,
-}
 
 /// Session configuration.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Partitions larger than this are refined by the next cascade stage
+    /// Partitions larger than this are refined by Andersen's analysis
     /// (the paper's empirical value: 60).
     pub andersen_threshold: usize,
     /// Maximum number of atoms per constraint conjunction before widening.
@@ -70,8 +60,6 @@ pub struct Config {
     pub oracle_step_budget: u64,
     /// Step budget for each user query.
     pub query_step_budget: u64,
-    /// Optional extra cascade stage.
-    pub middle_stage: MiddleStage,
     /// Track branch literals along walks and weed out syntactically
     /// infeasible paths (the paper's path-sensitivity extension, §3).
     /// Off by default, matching the paper's path-insensitive core.
@@ -100,7 +88,6 @@ impl Default for Config {
             alias_on_null: false,
             oracle_step_budget: 200_000,
             query_step_budget: 5_000_000,
-            middle_stage: MiddleStage::None,
             path_sensitive: false,
             fault_plan: None,
             interner_max_ids: u32::MAX,
@@ -190,8 +177,8 @@ impl QueryLimits {
 pub struct CascadeTimings {
     /// Time for Steensgaard's analysis + partitioning.
     pub steensgaard: Duration,
-    /// Time for the bootstrapped refinement (Andersen / One-Flow) of
-    /// oversized partitions.
+    /// Time for the bootstrapped Andersen refinement of oversized
+    /// partitions.
     pub clustering: Duration,
 }
 
@@ -544,13 +531,8 @@ impl<'p> Session<'p> {
             return Arc::clone(r);
         }
         let t0 = Instant::now();
-        let rel = relevant_statements_indexed(self.program, &self.steens, &self.index, members);
-        let stmts: Vec<&Stmt> = rel.stmts().map(|loc| self.program.stmt_at(loc)).collect();
-        let (result, solver_stats) = andersen::analyze_stmts_with_stats(
-            self.program.var_count(),
-            stmts,
-            andersen::SolverOptions::default(),
-        );
+        let (rel, result, solver_stats) =
+            andersen_on_slice(self.program, &self.steens, &self.index, members);
         let an = Arc::new(AndersenTier {
             result,
             slice_vars: rel.vars().collect(),
@@ -734,8 +716,30 @@ impl<'p> Session<'p> {
     }
 }
 
-/// Builds the configured bootstrapped cover, plus the aggregated solver
-/// counters of every Andersen refinement run along the way.
+/// Andersen's analysis over the relevant slice (`St_P`) of `members`,
+/// returned with the slice. The statements reach the solver in `Loc`
+/// order: the slice is a hash set, and the solver's work counters (and
+/// whether its adaptive gate engages cycle elimination) depend on the
+/// order constraints arrive in.
+fn andersen_on_slice(
+    program: &Program,
+    steens: &SteensgaardResult,
+    index: &RelevantIndex,
+    members: &[VarId],
+) -> (RelevantSet, andersen::AndersenResult, andersen::SolverStats) {
+    let rel = relevant_statements_indexed(program, steens, index, members);
+    let mut locs: Vec<Loc> = rel.stmts().collect();
+    locs.sort_unstable();
+    let (result, stats) = andersen::analyze_stmts_with_stats(
+        program.var_count(),
+        locs.into_iter().map(|loc| program.stmt_at(loc)),
+        andersen::SolverOptions::default(),
+    );
+    (rel, result, stats)
+}
+
+/// Builds the bootstrapped cover, plus the aggregated solver counters of
+/// every Andersen refinement run along the way.
 fn build_cover(
     program: &Program,
     steens: &SteensgaardResult,
@@ -743,66 +747,33 @@ fn build_cover(
     config: &Config,
     alias_partitions: &HashMap<bootstrap_analyses::ClassId, Vec<VarId>>,
 ) -> (AliasCover, andersen::SolverStats) {
-    let oneflow_result = match config.middle_stage {
-        MiddleStage::OneFlow => Some(oneflow::analyze(program)),
-        MiddleStage::None => None,
-    };
     let mut keys: Vec<_> = alias_partitions.keys().copied().collect();
     keys.sort();
     let mut clusters = Vec::new();
     let mut solver_stats = andersen::SolverStats::default();
     for class in keys {
-        let pointer_members: Vec<VarId> = alias_partitions[&class].clone();
-        if pointer_members.len() <= config.andersen_threshold {
+        let members = &alias_partitions[&class];
+        if members.len() <= config.andersen_threshold {
             clusters.push(Cluster::new(
                 0,
                 ClusterOrigin::Steensgaard(class),
-                pointer_members,
+                members.clone(),
             ));
             continue;
         }
-        // Oversized: cascade. Optionally One-Flow first.
-        let groups: Vec<(ClusterOrigin, Vec<VarId>)> = match &oneflow_result {
-            Some(ofr) => ofr
-                .clusters(&pointer_members)
-                .into_iter()
-                .map(|ms| {
-                    (
-                        ClusterOrigin::OneFlow {
-                            partition: class,
-                            object: None,
-                        },
-                        ms,
-                    )
-                })
-                .collect(),
-            None => vec![(ClusterOrigin::Steensgaard(class), pointer_members)],
-        };
-        for (origin, group) in groups {
-            if group.len() <= config.andersen_threshold {
-                clusters.push(Cluster::new(0, origin, group));
-                continue;
-            }
-            // Andersen, bootstrapped: restricted to the group's relevant
-            // statements.
-            let rel = relevant_statements_indexed(program, steens, index, &group);
-            let stmts: Vec<&Stmt> = rel.stmts().map(|loc| program.stmt_at(loc)).collect();
-            let (an, run_stats) = andersen::analyze_stmts_with_stats(
-                program.var_count(),
-                stmts,
-                andersen::SolverOptions::default(),
-            );
-            solver_stats.absorb(&run_stats);
-            for ac in an.clusters(&group) {
-                clusters.push(Cluster::new(
-                    0,
-                    ClusterOrigin::Andersen {
-                        partition: class,
-                        object: ac.object,
-                    },
-                    ac.members,
-                ));
-            }
+        // Oversized: Andersen, bootstrapped — restricted to the
+        // partition's relevant statements.
+        let (_, an, run_stats) = andersen_on_slice(program, steens, index, members);
+        solver_stats.absorb(&run_stats);
+        for ac in an.clusters(members) {
+            clusters.push(Cluster::new(
+                0,
+                ClusterOrigin::Andersen {
+                    partition: class,
+                    object: ac.object,
+                },
+                ac.members,
+            ));
         }
     }
     (AliasCover::new(clusters), solver_stats)
@@ -868,34 +839,6 @@ mod tests {
         let whole = s.whole_cover();
         assert_eq!(whole.len(), 1);
         assert_eq!(whole.clusters()[0].members.len(), s.pointers().len());
-    }
-
-    #[test]
-    fn oneflow_middle_stage_builds_valid_cover() {
-        let mut src = String::from("int *hub;\n");
-        for i in 0..12 {
-            src.push_str(&format!("int o{i}; int *p{i};\n"));
-        }
-        src.push_str("void main() {\n");
-        for i in 0..12 {
-            src.push_str(&format!("p{i} = &o{i};\nhub = p{i};\n"));
-        }
-        src.push_str("}\n");
-        let p = parse_program(&src).unwrap();
-        let config = Config {
-            andersen_threshold: 4,
-            middle_stage: MiddleStage::OneFlow,
-            ..Config::default()
-        };
-        let s = Session::new(&p, config);
-        assert!(s.cover().covers(s.pointers()));
-        assert!(s.cover().clusters().iter().any(|c| matches!(
-            c.origin,
-            ClusterOrigin::OneFlow { .. }
-        ) || matches!(
-            c.origin,
-            ClusterOrigin::Andersen { .. }
-        )));
     }
 
     #[test]

@@ -2,16 +2,15 @@
 //!
 //! The harness generates random Mini-C programs (via
 //! [`bootstrap_workloads::minic`]), runs every engine configuration the
-//! workspace ships — naive vs difference-propagation Andersen (with every
-//! hybrid-cycle × wave solver combination), interned vs uninterned FSCS
-//! walks, sequential vs work-stealing parallel cluster processing at 1, 2
-//! and 4 threads — and asserts the soundness lattice that makes
-//! bootstrapping correct:
+//! workspace ships — the naive Andersen oracle vs the production solver
+//! (adaptive, and with cycle elimination forced on from the first pop),
+//! interned vs uninterned FSCS walks, sequential vs work-stealing parallel
+//! cluster processing at 1, 2 and 4 threads — and asserts the soundness
+//! lattice that makes bootstrapping correct:
 //!
-//! * every Andersen solver configuration (hybrid cycle elimination on/off
-//!   × wave propagation on/off) computes *identical* points-to sets to the
-//!   naive full-set oracle, and every variable class the hybrid solver
-//!   merges is provably equal under that oracle (no oversharing);
+//! * the Andersen solver, adaptive and eager, computes *identical*
+//!   points-to sets to the naive full-set oracle, and every variable class
+//!   it merges is provably equal under that oracle (no oversharing);
 //! * Andersen points-to sets refine (are contained in) the Steensgaard
 //!   pointee classes, and Andersen may-alias never crosses a Steensgaard
 //!   partition;
@@ -255,13 +254,7 @@ pub fn check_faults_guarded(src: &str) -> Option<InvariantViolation> {
 
 fn check_program(program: &Program) -> Result<(), InvariantViolation> {
     let steens = steensgaard::analyze(program);
-    let naive = andersen::analyze_with(
-        program,
-        SolverOptions {
-            naive: true,
-            ..SolverOptions::default()
-        },
-    );
+    let naive = andersen::analyze_with(program, SolverOptions::naive_oracle());
     let delta = andersen::analyze_with(program, SolverOptions::default());
 
     // Strict aliasing semantics for the lattice checks: entry garbage and
@@ -276,51 +269,45 @@ fn check_program(program: &Program) -> Result<(), InvariantViolation> {
     let s2 = Session::new(program, strict);
     let pointers: Vec<VarId> = s1.pointers().to_vec();
 
-    // --- Andersen solver matrix vs the naive oracle ----------------------
-    // Every fast configuration — hybrid cycle elimination on/off × wave
-    // propagation on/off × eager vs adaptive engagement — must agree with
-    // the naive full-set solver, and any class the hybrid solver merges
-    // must be provably equal under it.
-    for hybrid_cycles in [false, true] {
-        for wave in [false, true] {
-            for eager_cycles in [false, true] {
-                let opts = SolverOptions {
-                    collapse_cycles: false,
-                    naive: false,
-                    hybrid_cycles,
-                    eager_cycles,
-                    wave,
-                };
-                let fast = andersen::analyze_with(program, opts);
-                for &v in &pointers {
-                    let a = sorted_dbg(&naive.points_to_vars(v));
-                    let b = sorted_dbg(&fast.points_to_vars(v));
-                    if a != b {
-                        return viol(
-                            "andersen-naive-vs-delta",
-                            format!(
-                                "pts({}) naive {:?} != fast {:?} ({opts:?})",
-                                program.var(v).name(),
-                                a,
-                                b
-                            ),
-                        );
-                    }
-                }
-                for group in fast.merged_groups() {
-                    let first = sorted_dbg(&naive.points_to_vars(group[0]));
-                    for &member in &group[1..] {
-                        if first != sorted_dbg(&naive.points_to_vars(member)) {
-                            return viol(
-                                "andersen-overshared-merge",
-                                format!(
-                                    "{} and {} merged but not provably equal ({opts:?})",
-                                    program.var(group[0]).name(),
-                                    program.var(member).name()
-                                ),
-                            );
-                        }
-                    }
+    // --- Andersen solver vs the naive oracle -----------------------------
+    // The solver, adaptive and with its cycle machinery engaged from the
+    // first pop, must agree with the naive full-set solver, and any class
+    // it merges must be provably equal under it.
+    let eager = andersen::analyze_with(
+        program,
+        SolverOptions {
+            eager_cycles: true,
+            ..SolverOptions::default()
+        },
+    );
+    for (mode, fast) in [("adaptive", &delta), ("eager", &eager)] {
+        for &v in &pointers {
+            let a = sorted_dbg(&naive.points_to_vars(v));
+            let b = sorted_dbg(&fast.points_to_vars(v));
+            if a != b {
+                return viol(
+                    "andersen-naive-vs-delta",
+                    format!(
+                        "pts({}) naive {:?} != {mode} {:?}",
+                        program.var(v).name(),
+                        a,
+                        b
+                    ),
+                );
+            }
+        }
+        for group in fast.merged_groups() {
+            let first = sorted_dbg(&naive.points_to_vars(group[0]));
+            for &member in &group[1..] {
+                if first != sorted_dbg(&naive.points_to_vars(member)) {
+                    return viol(
+                        "andersen-overshared-merge",
+                        format!(
+                            "{} and {} merged but not provably equal ({mode})",
+                            program.var(group[0]).name(),
+                            program.var(member).name()
+                        ),
+                    );
                 }
             }
         }
@@ -1102,9 +1089,8 @@ mod tests {
         // The big-partition generator builds the two workloads where a
         // careless cycle detector overshares: closed hub copy cycles and
         // handle tables (loads/stores through a shared double pointer).
-        // Every class the hybrid solver merges — with and without wave
-        // ordering — must be provably equal under the naive oracle, and
-        // the points-to sets must match it exactly.
+        // Every class the eager solver merges must be provably equal under
+        // the naive oracle, and the points-to sets must match it exactly.
         use bootstrap_workloads::generator::{self, BigPartition, GenConfig};
         let workloads = [
             // Deep spokes feeding a short closed hub chain.
@@ -1145,45 +1131,40 @@ mod tests {
         for config in workloads {
             let program = generator::generate(&config);
             let naive = andersen::analyze_with(&program, SolverOptions::naive_oracle());
-            for wave in [false, true] {
-                // Eager engagement: these workloads are small enough that
-                // the adaptive drain can converge before the thrash
-                // detector brings the merge machinery in, and the guard
-                // below needs merges to inspect.
-                let opts = SolverOptions {
-                    collapse_cycles: false,
-                    naive: false,
-                    hybrid_cycles: true,
-                    eager_cycles: true,
-                    wave,
-                };
-                let fast = andersen::analyze_with(&program, opts);
-                for v in program.var_ids() {
-                    assert_eq!(
-                        naive.points_to_vars(v),
-                        fast.points_to_vars(v),
-                        "{}: pts({}) diverged ({opts:?})",
-                        config.name,
-                        program.var(v).name()
-                    );
-                }
-                let groups = fast.merged_groups();
-                assert!(
-                    !groups.is_empty(),
-                    "{}: expected the hybrid solver to merge at least one cycle",
-                    config.name
+            // Eager engagement: these workloads are small enough that the
+            // adaptive drain can converge before the thrash detector brings
+            // the merge machinery in, and the guard below needs merges to
+            // inspect.
+            let opts = SolverOptions {
+                eager_cycles: true,
+                ..SolverOptions::default()
+            };
+            let fast = andersen::analyze_with(&program, opts);
+            for v in program.var_ids() {
+                assert_eq!(
+                    naive.points_to_vars(v),
+                    fast.points_to_vars(v),
+                    "{}: pts({}) diverged",
+                    config.name,
+                    program.var(v).name()
                 );
-                for group in groups {
-                    for &member in &group[1..] {
-                        assert_eq!(
-                            naive.points_to_vars(group[0]),
-                            naive.points_to_vars(member),
-                            "{}: overshared merge {} ~ {} ({opts:?})",
-                            config.name,
-                            program.var(group[0]).name(),
-                            program.var(member).name()
-                        );
-                    }
+            }
+            let groups = fast.merged_groups();
+            assert!(
+                !groups.is_empty(),
+                "{}: expected the hybrid solver to merge at least one cycle",
+                config.name
+            );
+            for group in groups {
+                for &member in &group[1..] {
+                    assert_eq!(
+                        naive.points_to_vars(group[0]),
+                        naive.points_to_vars(member),
+                        "{}: overshared merge {} ~ {}",
+                        config.name,
+                        program.var(group[0]).name(),
+                        program.var(member).name()
+                    );
                 }
             }
         }

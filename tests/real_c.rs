@@ -112,3 +112,18 @@ fn bzlite_checks_end_to_end() {
     let queries: usize = report.stats.iter().map(|c| c.queries).sum();
     assert!(queries > 0, "the checkers must actually query the workload");
 }
+
+#[test]
+fn solver_counters_repeat_across_sessions() {
+    // Relevant slices are hash sets, and the Andersen solver's counters
+    // (and whether its adaptive gate engages cycle elimination) depend on
+    // constraint order: the cascade must hand each slice over in one fixed
+    // order for `stats` to repeat from run to run.
+    let mut program = parsed();
+    fpresolve::resolve_calls(&mut program, FpResolver::PointsTo);
+    let stats: Vec<_> = (0..4)
+        .map(|_| Session::new(&program, Config::default()).solver_stats())
+        .collect();
+    assert!(stats[0].pops > 0, "the cascade runs Andersen on bzlite");
+    assert!(stats.iter().all(|s| *s == stats[0]), "{stats:#?}");
+}
