@@ -32,9 +32,10 @@ mod race;
 mod report;
 
 use std::collections::{HashMap, HashSet};
+use std::time::{Duration, Instant};
 
 use bootstrap_core::{
-    Analyzer, Cond, DegradeReason, FsciCacheStats, InternerStats, PhaseSnapshot, Precision,
+    Analyzer, Cond, DegradeReason, FsciCacheStats, InternerStats, Phase, PhaseSnapshot, Precision,
     QueryLimits, Session, SolverStats, Source, StoreCounters,
 };
 use bootstrap_ir::{Loc, Program, Stmt, VarId, VarKind};
@@ -223,6 +224,9 @@ struct Resolver<'a, 'p> {
     /// Unique resolutions per tier, [`Precision::ALL`] order.
     tiers: [usize; 3],
     reasons: HashMap<DegradeReason, usize>,
+    /// Wall time spent inside `query_at_loc_limited`, which the cascade
+    /// phases already account for.
+    resolving: Duration,
 }
 
 fn tier_slot(p: Precision) -> usize {
@@ -236,9 +240,11 @@ fn tier_slot(p: Precision) -> usize {
 impl Resolver<'_, '_> {
     fn sources(&mut self, ptr: VarId, loc: Loc) -> (&[(Source, Cond)], Precision) {
         if !self.resolved.contains_key(&(ptr, loc)) {
+            let t0 = Instant::now();
             let ans = self
                 .session
                 .query_at_loc_limited(&self.az, ptr, loc, &self.limits);
+            self.resolving += t0.elapsed();
             self.tiers[tier_slot(ans.precision)] += 1;
             if let Some(r) = ans.reason {
                 *self.reasons.entry(r).or_insert(0) += 1;
@@ -298,6 +304,7 @@ pub fn run_checks_with<'a>(
     limits: &QueryLimits,
     az: Analyzer<'a>,
 ) -> CheckReport {
+    let t0 = Instant::now();
     let program = session.program();
     let want = |k: CheckerKind| kinds.contains(&k);
     let want_null = want(CheckerKind::NullDeref);
@@ -338,6 +345,7 @@ pub fn run_checks_with<'a>(
         resolved: HashMap::new(),
         tiers: [0; 3],
         reasons: HashMap::new(),
+        resolving: Duration::ZERO,
     };
     let mut stats: HashMap<CheckerKind, CheckerStats> = CheckerKind::ALL
         .iter()
@@ -558,6 +566,11 @@ pub fn run_checks_with<'a>(
         .iter()
         .filter_map(|k| stats.get(k).copied())
         .collect();
+    session.record_phase(
+        Phase::Checkers,
+        t0.elapsed().saturating_sub(rs.resolving),
+        0,
+    );
     // Flush every clean per-partition engine built by the batch's queries
     // into the persistent store (no-op without one), so the next run over
     // the same program warm-starts.

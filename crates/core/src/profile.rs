@@ -4,8 +4,9 @@
 //! steps, and invocation counts for the four cascade phases: Steensgaard
 //! partitioning, the Andersen (clustering) refinement, relevant-statement
 //! slicing (Algorithm 1, engine construction), and the FSCS summarization
-//! itself. All counters are atomics so parallel LPT workers record into the
-//! shared profile without locking; snapshots are monotonic.
+//! itself; plus a fifth phase for the client checkers' own work outside
+//! their site resolutions. All counters are atomics so parallel LPT workers
+//! record into the shared profile without locking; snapshots are monotonic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -22,15 +23,20 @@ pub enum Phase {
     /// The flow- and context-sensitive summarization and queries
     /// (Algorithms 2–5).
     Fscs,
+    /// A checker batch's work outside its site resolutions: thread-escape
+    /// analysis, the lockset fixpoint, free-site reachability and building
+    /// the findings (the resolutions themselves land in the rows above).
+    Checkers,
 }
 
 impl Phase {
     /// All phases, in cascade order.
-    pub const ALL: [Phase; 4] = [
+    pub const ALL: [Phase; 5] = [
         Phase::Steensgaard,
         Phase::Andersen,
         Phase::Relevant,
         Phase::Fscs,
+        Phase::Checkers,
     ];
 
     /// The phase's stable display name.
@@ -40,6 +46,7 @@ impl Phase {
             Phase::Andersen => "andersen",
             Phase::Relevant => "relevant",
             Phase::Fscs => "fscs",
+            Phase::Checkers => "checkers",
         }
     }
 }
@@ -88,6 +95,7 @@ pub struct PhaseProfile {
     andersen: PhaseAccum,
     relevant: PhaseAccum,
     fscs: PhaseAccum,
+    checkers: PhaseAccum,
 }
 
 impl PhaseProfile {
@@ -102,6 +110,7 @@ impl PhaseProfile {
             Phase::Andersen => &self.andersen,
             Phase::Relevant => &self.relevant,
             Phase::Fscs => &self.fscs,
+            Phase::Checkers => &self.checkers,
         }
     }
 
@@ -122,6 +131,7 @@ impl PhaseProfile {
             andersen: self.andersen.snapshot(),
             relevant: self.relevant.snapshot(),
             fscs: self.fscs.snapshot(),
+            checkers: self.checkers.snapshot(),
         }
     }
 }
@@ -137,6 +147,8 @@ pub struct PhaseSnapshot {
     pub relevant: PhaseStats,
     /// FSCS summarization and queries.
     pub fscs: PhaseStats,
+    /// Checker work outside site resolutions.
+    pub checkers: PhaseStats,
 }
 
 impl PhaseSnapshot {
@@ -147,6 +159,7 @@ impl PhaseSnapshot {
             (Phase::Andersen, self.andersen),
             (Phase::Relevant, self.relevant),
             (Phase::Fscs, self.fscs),
+            (Phase::Checkers, self.checkers),
         ]
         .into_iter()
     }
@@ -168,7 +181,7 @@ mod tests {
         assert_eq!(snap.fscs.invocations, 2);
         assert_eq!(snap.relevant.invocations, 1);
         assert_eq!(snap.steensgaard, PhaseStats::default());
-        assert_eq!(snap.iter().count(), 4);
+        assert_eq!(snap.iter().count(), 5);
     }
 
     #[test]
@@ -193,6 +206,9 @@ mod tests {
     #[test]
     fn phase_names_are_stable() {
         let names: Vec<&str> = Phase::ALL.iter().map(|p| p.name()).collect();
-        assert_eq!(names, vec!["steensgaard", "andersen", "relevant", "fscs"]);
+        assert_eq!(
+            names,
+            vec!["steensgaard", "andersen", "relevant", "fscs", "checkers"]
+        );
     }
 }

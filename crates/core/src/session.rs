@@ -659,10 +659,17 @@ impl<'p> Session<'p> {
 
     /// Accumulated per-phase wall time, steps, and invocation counts for
     /// the cascade (Steensgaard, Andersen refinement, relevant slicing,
-    /// FSCS summarization). Phase costs grow as analyzers run; the
-    /// Steensgaard and Andersen rows are recorded once at construction.
+    /// FSCS summarization) and the checker batches run over it. Phase
+    /// costs grow as analyzers run; the Steensgaard and Andersen rows are
+    /// recorded once at construction.
     pub fn phase_stats(&self) -> PhaseSnapshot {
         self.profile.snapshot()
+    }
+
+    /// Adds one work unit's wall time and steps to `phase` (the checker
+    /// batch records its [`Phase::Checkers`] row through this).
+    pub fn record_phase(&self, phase: Phase, wall: Duration, steps: u64) {
+        self.profile.record(phase, wall, steps);
     }
 
     pub(crate) fn engine_cx(&self) -> EngineCx<'_> {
