@@ -56,7 +56,11 @@ impl CallGraph {
                 }
             }
         }
-        let (sccs, scc_of) = tarjan(n, &callees);
+        let (sccs, scc_of) = tarjan(n, |f| callees[f].iter().map(|g| g.index()));
+        let sccs = sccs
+            .into_iter()
+            .map(|comp| comp.into_iter().map(FuncId::new).collect())
+            .collect();
         Self {
             callees,
             callers,
@@ -114,48 +118,67 @@ impl CallGraph {
     }
 }
 
-/// Iterative Tarjan SCC. Returns SCCs in reverse topological order and the
-/// SCC index of each node.
-fn tarjan(n: usize, succs: &[Vec<FuncId>]) -> (Vec<Vec<FuncId>>, Vec<usize>) {
+/// Strongly connected components of the directed graph over nodes `0..n`
+/// whose edges out of `v` are `succs(v)`, by iterative Tarjan in time
+/// linear in nodes plus edges.
+///
+/// Returns the components in *reverse topological order* of the
+/// condensation (every component after all the components it reaches),
+/// each sorted ascending, and the component index of every node. The call
+/// graph's SCCs and the thread-escape analysis's CFG-cycle and recursion
+/// passes all come from here.
+///
+/// # Examples
+///
+/// ```
+/// // 0 -> 1 -> 2 -> 1, 2 -> 3
+/// let edges: [&[usize]; 4] = [&[1], &[2], &[1, 3], &[]];
+/// let (sccs, scc_of) = bootstrap_ir::callgraph::tarjan(4, |v| edges[v].iter().copied());
+/// assert_eq!(sccs, vec![vec![3], vec![1, 2], vec![0]]);
+/// assert_eq!(scc_of[2], 1);
+/// ```
+pub fn tarjan<I>(n: usize, succs: impl Fn(usize) -> I) -> (Vec<Vec<usize>>, Vec<usize>)
+where
+    I: IntoIterator<Item = usize>,
+{
     const UNVISITED: usize = usize::MAX;
     let mut index = vec![UNVISITED; n];
     let mut lowlink = vec![0usize; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
-    let mut sccs: Vec<Vec<FuncId>> = Vec::new();
+    let mut sccs: Vec<Vec<usize>> = Vec::new();
     let mut scc_of = vec![0usize; n];
     let mut counter = 0usize;
 
-    // Explicit DFS stack: (node, next child index).
-    let mut call_stack: Vec<(usize, usize)> = Vec::new();
+    // Explicit DFS stack: (node, its unexplored successors).
+    let mut call_stack: Vec<(usize, I::IntoIter)> = Vec::new();
     for root in 0..n {
         if index[root] != UNVISITED {
             continue;
         }
-        call_stack.push((root, 0));
+        call_stack.push((root, succs(root).into_iter()));
         index[root] = counter;
         lowlink[root] = counter;
         counter += 1;
         stack.push(root);
         on_stack[root] = true;
-        while let Some(&mut (v, ref mut ci)) = call_stack.last_mut() {
-            if *ci < succs[v].len() {
-                let w = succs[v][*ci].index();
-                *ci += 1;
+        while let Some((v, children)) = call_stack.last_mut() {
+            let v = *v;
+            if let Some(w) = children.next() {
                 if index[w] == UNVISITED {
                     index[w] = counter;
                     lowlink[w] = counter;
                     counter += 1;
                     stack.push(w);
                     on_stack[w] = true;
-                    call_stack.push((w, 0));
+                    call_stack.push((w, succs(w).into_iter()));
                 } else if on_stack[w] {
                     lowlink[v] = lowlink[v].min(index[w]);
                 }
             } else {
                 call_stack.pop();
-                if let Some(&mut (parent, _)) = call_stack.last_mut() {
-                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
+                if let Some((parent, _)) = call_stack.last() {
+                    lowlink[*parent] = lowlink[*parent].min(lowlink[v]);
                 }
                 if lowlink[v] == index[v] {
                     let mut comp = Vec::new();
@@ -163,12 +186,12 @@ fn tarjan(n: usize, succs: &[Vec<FuncId>]) -> (Vec<Vec<FuncId>>, Vec<usize>) {
                         let w = stack.pop().expect("tarjan stack underflow");
                         on_stack[w] = false;
                         scc_of[w] = sccs.len();
-                        comp.push(FuncId::new(w));
+                        comp.push(w);
                         if w == v {
                             break;
                         }
                     }
-                    comp.sort();
+                    comp.sort_unstable();
                     sccs.push(comp);
                 }
             }
