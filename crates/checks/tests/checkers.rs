@@ -212,6 +212,9 @@ fn report_carries_stats_and_cache_counters() {
     assert_eq!(r.degrade.degraded_queries(), 0);
     assert!(r.degrade.fscs_queries > 0);
     assert!(r.degrade.reasons.is_empty());
+    // The batch records its own work once, beside the FSCS resolutions.
+    assert_eq!(r.phases.checkers.invocations, 1);
+    assert!(r.phases.fscs.invocations > 0);
 }
 
 #[test]
