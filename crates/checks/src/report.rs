@@ -1,6 +1,8 @@
 //! Diagnostic rendering: stable plain text and hand-rolled JSON.
 
-use bootstrap_core::Precision;
+use bootstrap_core::{
+    FsciCacheStats, InternerStats, PhaseSnapshot, Precision, SolverStats, StoreCounters,
+};
 
 use crate::{CheckReport, Finding};
 
@@ -95,59 +97,14 @@ pub fn render_json(report: &CheckReport, file: Option<&str>) -> String {
         out.push_str("\n  ");
     }
     out.push_str("],\n");
-    out.push_str(&format!(
-        "  \"fsci_cache\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}}},\n",
-        report.cache.hits, report.cache.misses, report.cache.entries
+    out.push_str(&render_json_counters(
+        &report.cache,
+        &report.interner,
+        &report.store,
+        &report.solver,
     ));
-    out.push_str(&format!(
-        concat!(
-            "  \"interner\": {{\"conds\": {}, \"deads\": {}, \"memo_entries\": {}, ",
-            "\"hits\": {}, \"misses\": {}, \"max_ids\": {}, \"occupancy\": {:.6}}},\n"
-        ),
-        report.interner.conds,
-        report.interner.deads,
-        report.interner.memo_entries,
-        report.interner.hits,
-        report.interner.misses,
-        report.interner.max_ids,
-        interner_occupancy(&report.interner),
-    ));
-    out.push_str(&format!(
-        "  \"store\": {{\"hits\": {}, \"misses\": {}, \"invalidated\": {}, \"loads\": {}}},\n",
-        report.store.hits,
-        report.store.misses,
-        report.store.invalidated,
-        report.store.loads()
-    ));
-    let sv = &report.solver;
-    out.push_str(&format!(
-        concat!(
-            "  \"solver\": {{\"pops\": {}, \"stale_pops\": {}, \"edges\": {}, ",
-            "\"sccs_online\": {}, \"sccs_offline\": {}, \"wave_rounds\": {}, ",
-            "\"edges_pruned\": {}}},\n"
-        ),
-        sv.pops,
-        sv.stale_pops,
-        sv.edges,
-        sv.sccs_online,
-        sv.sccs_offline,
-        sv.wave_rounds,
-        sv.edges_pruned
-    ));
-    out.push_str("  \"phases\": [");
-    for (i, (phase, stats)) in report.phases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"phase\": \"{}\", \"wall_secs\": {:.6}, \"steps\": {}, \"invocations\": {}}}",
-            phase.name(),
-            stats.wall.as_secs_f64(),
-            stats.steps,
-            stats.invocations
-        ));
-    }
-    out.push_str("\n  ],\n");
+    out.push_str(&render_json_phases(&report.phases));
+    out.push_str(",\n");
     let d = &report.degrade;
     out.push_str(&format!(
         concat!(
@@ -169,6 +126,76 @@ pub fn render_json(report: &CheckReport, file: Option<&str>) -> String {
         ));
     }
     out.push_str("]}\n}\n");
+    out
+}
+
+/// The counter members `check` and `stats` share in their JSON output:
+/// `fsci_cache`, `interner`, `store` and `solver`, one line each, each
+/// ending in a comma.
+pub fn render_json_counters(
+    cache: &FsciCacheStats,
+    interner: &InternerStats,
+    store: &StoreCounters,
+    solver: &SolverStats,
+) -> String {
+    let mut out = format!(
+        "  \"fsci_cache\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}}},\n",
+        cache.hits, cache.misses, cache.entries
+    );
+    out.push_str(&format!(
+        concat!(
+            "  \"interner\": {{\"conds\": {}, \"deads\": {}, \"memo_entries\": {}, ",
+            "\"hits\": {}, \"misses\": {}, \"max_ids\": {}, \"occupancy\": {:.6}}},\n"
+        ),
+        interner.conds,
+        interner.deads,
+        interner.memo_entries,
+        interner.hits,
+        interner.misses,
+        interner.max_ids,
+        interner_occupancy(interner),
+    ));
+    out.push_str(&format!(
+        "  \"store\": {{\"hits\": {}, \"misses\": {}, \"invalidated\": {}, \"loads\": {}}},\n",
+        store.hits,
+        store.misses,
+        store.invalidated,
+        store.loads()
+    ));
+    out.push_str(&format!(
+        concat!(
+            "  \"solver\": {{\"pops\": {}, \"stale_pops\": {}, \"edges\": {}, ",
+            "\"sccs_online\": {}, \"sccs_offline\": {}, \"wave_rounds\": {}, ",
+            "\"edges_pruned\": {}}},\n"
+        ),
+        solver.pops,
+        solver.stale_pops,
+        solver.edges,
+        solver.sccs_online,
+        solver.sccs_offline,
+        solver.wave_rounds,
+        solver.edges_pruned
+    ));
+    out
+}
+
+/// The `phases` member `check` and `stats` share in their JSON output,
+/// up to its closing `]`; the caller writes what follows it.
+pub fn render_json_phases(phases: &PhaseSnapshot) -> String {
+    let mut out = String::from("  \"phases\": [");
+    for (i, (phase, stats)) in phases.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "\n    {{\"phase\": \"{}\", \"wall_secs\": {:.6}, \"steps\": {}, \"invocations\": {}}}",
+            phase.name(),
+            stats.wall.as_secs_f64(),
+            stats.steps,
+            stats.invocations
+        ));
+    }
+    out.push_str("\n  ]");
     out
 }
 

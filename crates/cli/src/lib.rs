@@ -950,53 +950,14 @@ fn cmd_stats(program: &Program, opts: &Opts, fp: FpResolution) -> Result<String,
                 "  \"checker_queries\": {{\"total\": {queries}, \"degraded\": {}}},",
                 report.degrade.degraded_queries()
             );
-            let cache = session.fsci_cache_stats();
-            let _ = writeln!(
-                out,
-                "  \"fsci_cache\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}}},",
-                cache.hits, cache.misses, cache.entries
-            );
-            let it = session.interner_stats();
-            let _ = writeln!(
-                out,
-                concat!(
-                    "  \"interner\": {{\"conds\": {}, \"deads\": {}, \"memo_entries\": {}, ",
-                    "\"hits\": {}, \"misses\": {}, \"max_ids\": {}, \"occupancy\": {:.6}}},"
-                ),
-                it.conds,
-                it.deads,
-                it.memo_entries,
-                it.hits,
-                it.misses,
-                it.max_ids,
-                bootstrap_checks::interner_occupancy(&it)
-            );
-            let st = report.store;
-            let _ = writeln!(
-                out,
-                "  \"store\": {{\"hits\": {}, \"misses\": {}, \"invalidated\": {}, \"loads\": {}}},",
-                st.hits,
-                st.misses,
-                st.invalidated,
-                st.loads()
-            );
             let mut sv = session.solver_stats();
             sv.record_fp(&fp);
-            let _ = writeln!(
-                out,
-                concat!(
-                    "  \"solver\": {{\"pops\": {}, \"stale_pops\": {}, \"edges\": {}, ",
-                    "\"sccs_online\": {}, \"sccs_offline\": {}, \"wave_rounds\": {}, ",
-                    "\"edges_pruned\": {}}},"
-                ),
-                sv.pops,
-                sv.stale_pops,
-                sv.edges,
-                sv.sccs_online,
-                sv.sccs_offline,
-                sv.wave_rounds,
-                sv.edges_pruned
-            );
+            out.push_str(&bootstrap_checks::render_json_counters(
+                &session.fsci_cache_stats(),
+                &session.interner_stats(),
+                &report.store,
+                &sv,
+            ));
             let _ = writeln!(
                 out,
                 concat!(
@@ -1010,24 +971,10 @@ fn cmd_stats(program: &Program, opts: &Opts, fp: FpResolution) -> Result<String,
                 fp.edges_mlta,
                 fp.edges_pts
             );
-            out.push_str("  \"phases\": [");
-            for (i, (phase, stats)) in session.phase_stats().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    concat!(
-                        "\n    {{\"phase\": \"{}\", \"wall_secs\": {:.6}, ",
-                        "\"steps\": {}, \"invocations\": {}}}"
-                    ),
-                    phase.name(),
-                    stats.wall.as_secs_f64(),
-                    stats.steps,
-                    stats.invocations
-                );
-            }
-            out.push_str("\n  ]\n}\n");
+            out.push_str(&bootstrap_checks::render_json_phases(
+                &session.phase_stats(),
+            ));
+            out.push_str("\n}\n");
             Ok(out)
         }
         None | Some("text") => {

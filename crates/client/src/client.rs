@@ -65,29 +65,26 @@ impl Client {
 
     /// Sends a request, retrying with jittered exponential backoff on
     /// connection failures and `overloaded` responses. Any other
-    /// response — including `error` — is returned to the caller as-is.
+    /// response — including `error` — is returned to the caller as-is,
+    /// and the last failure is returned as soon as the last attempt fails.
     pub fn request(&self, req: &Request) -> io::Result<Response> {
-        let mut last_err: Option<io::Error> = None;
-        for attempt in 0..self.max_attempts.max(1) {
-            match self.request_once(req) {
-                Ok(Response::Overloaded { retry_after_ms }) => {
-                    last_err = Some(io::Error::new(
-                        io::ErrorKind::WouldBlock,
-                        "daemon overloaded",
-                    ));
-                    std::thread::sleep(Duration::from_millis(
-                        self.backoff_ms(attempt, Some(retry_after_ms)),
-                    ));
-                }
+        let attempts = self.max_attempts.max(1);
+        let mut attempt = 0;
+        loop {
+            let (err, hint) = match self.request_once(req) {
+                Ok(Response::Overloaded { retry_after_ms }) => (
+                    io::Error::new(io::ErrorKind::WouldBlock, "daemon overloaded"),
+                    Some(retry_after_ms),
+                ),
                 Ok(resp) => return Ok(resp),
-                Err(e) => {
-                    last_err = Some(e);
-                    std::thread::sleep(Duration::from_millis(self.backoff_ms(attempt, None)));
-                }
+                Err(e) => (e, None),
+            };
+            if attempt + 1 == attempts {
+                return Err(err);
             }
+            std::thread::sleep(Duration::from_millis(self.backoff_ms(attempt, hint)));
+            attempt += 1;
         }
-        Err(last_err
-            .unwrap_or_else(|| io::Error::new(io::ErrorKind::TimedOut, "retries exhausted")))
     }
 
     /// The backoff before retry number `attempt + 1`: the daemon's
@@ -139,5 +136,17 @@ mod tests {
         c.base_backoff_ms = 1;
         let err = c.request(&Request::Stats).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        // No backoff follows the last attempt: a single try with a 1 s
+        // base (a 0.5–1 s sleep) still reports at once.
+        c.max_attempts = 1;
+        c.base_backoff_ms = 1_000;
+        let t0 = std::time::Instant::now();
+        let err = c.request(&Request::Stats).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert!(
+            t0.elapsed() < Duration::from_millis(250),
+            "{:?}",
+            t0.elapsed()
+        );
     }
 }

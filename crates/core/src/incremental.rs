@@ -21,8 +21,9 @@
 //! Partitions also carry **dependency edges** to the partitions owning
 //! their slice variables: summary fixpoints consult the cross-partition
 //! FSCI oracle for those variables, and the oracle resolves through the
-//! owner partition's engine. Dirtiness propagates along these edges to a
-//! fixpoint, so a clean partition's entire oracle closure is clean too.
+//! owner partition's engine. Dirtiness propagates backwards along these
+//! edges, from each partition to every partition that depends on it, so a
+//! clean partition's entire oracle closure is clean too.
 //!
 //! Between epochs, [`diff_and_adopt`] matches partitions by *canonical
 //! id* (hash of sorted member names), compares fingerprints, closes the
@@ -30,9 +31,10 @@
 //! store an adoption: entries recorded under the previous whole-program
 //! hash stay valid for clusters wholly inside the clean set, sidestepping
 //! the store's whole-program gate exactly where it is provably too
-//! coarse.
+//! coarse. The same fingerprint pass yields the new epoch's snapshot, so
+//! an epoch fingerprints its partitions once.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::hash::Hasher;
 
 use bootstrap_analyses::ClassId;
@@ -92,19 +94,21 @@ struct Unit {
 /// Takes the partition snapshot of `session`'s epoch, for diffing against
 /// a later epoch with [`diff_and_adopt`].
 pub fn snapshot(session: &Session<'_>) -> PartitionSnapshot {
-    let units = build_units(session);
+    snapshot_of(session, &build_units(session))
+}
+
+fn snapshot_of(session: &Session<'_>, units: &BTreeMap<u64, Unit>) -> PartitionSnapshot {
     PartitionSnapshot {
         program_hash: session.program_content_hash(),
-        fingerprints: units
-            .into_iter()
-            .map(|(id, u)| (id, u.fingerprint))
-            .collect(),
+        fingerprints: units.iter().map(|(id, u)| (*id, u.fingerprint)).collect(),
     }
 }
 
 /// Diffs `session`'s epoch against `prev`, arms the session's persistent
 /// store to adopt the previous epoch's entries for clusters proven clean,
-/// and reports the dirty footprint.
+/// and reports the dirty footprint together with the epoch's own
+/// snapshot (what [`snapshot`] would return) for the next epoch to diff
+/// against.
 ///
 /// Sound because a clean fingerprint pins the partition's members, its
 /// relevant slice, and every function body its walks can traverse — so
@@ -112,26 +116,21 @@ pub fn snapshot(session: &Session<'_>) -> PartitionSnapshot {
 /// are byte-identical to what a cold run of the new epoch would produce —
 /// and dirtiness closes transitively over the partitions whose engines
 /// the FSCI oracle consults.
-pub fn diff_and_adopt(prev: &PartitionSnapshot, session: &Session<'_>) -> DirtyReport {
+pub fn diff_and_adopt(
+    prev: &PartitionSnapshot,
+    session: &Session<'_>,
+) -> (DirtyReport, PartitionSnapshot) {
     let units = build_units(session);
     // Seed: new identity or changed content.
-    let mut dirty: HashSet<u64> = units
+    let changed = units
         .iter()
         .filter(|(id, u)| prev.fingerprints.get(*id) != Some(&u.fingerprint))
         .map(|(id, _)| *id)
         .collect();
-    // Propagate along dependency edges to a fixpoint.
-    loop {
-        let before = dirty.len();
-        for (id, u) in &units {
-            if !dirty.contains(id) && u.deps.iter().any(|d| dirty.contains(d)) {
-                dirty.insert(*id);
-            }
-        }
-        if dirty.len() == before {
-            break;
-        }
-    }
+    let dirty = close_dirty(
+        units.iter().map(|(id, u)| (*id, u.deps.as_slice())),
+        changed,
+    );
 
     let clean: HashSet<ClassId> = units
         .iter()
@@ -164,13 +163,37 @@ pub fn diff_and_adopt(prev: &PartitionSnapshot, session: &Session<'_>) -> DirtyR
         .count();
 
     let adopted = !clean.is_empty() && session.adopt_previous_epoch(prev.program_hash, clean);
-    DirtyReport {
+    let report = DirtyReport {
         total_partitions,
         dirty_partitions,
         total_clusters,
         dirty_clusters,
         adopted,
+    };
+    (report, snapshot_of(session, &units))
+}
+
+/// Closes `dirty` under dependencies: a unit whose `deps` name a dirty
+/// unit is dirty too. One breadth-first walk over the reverse edges.
+fn close_dirty<'a>(
+    deps: impl IntoIterator<Item = (u64, &'a [u64])>,
+    mut dirty: HashSet<u64>,
+) -> HashSet<u64> {
+    let mut dependents: HashMap<u64, Vec<u64>> = HashMap::new();
+    for (id, on) in deps {
+        for &d in on {
+            dependents.entry(d).or_default().push(id);
+        }
     }
+    let mut queue: VecDeque<u64> = dirty.iter().copied().collect();
+    while let Some(id) = queue.pop_front() {
+        for &up in dependents.get(&id).into_iter().flatten() {
+            if dirty.insert(up) {
+                queue.push_back(up);
+            }
+        }
+    }
+    dirty
 }
 
 /// The parent alias partition of a cluster, if it has one.
@@ -345,7 +368,7 @@ mod tests {
         let p = parse_program(TWO_NETWORKS).unwrap();
         let prev = snapshot(&Session::new(&p, Config::default()));
         let s = Session::new(&p, Config::default());
-        let report = diff_and_adopt(&prev, &s);
+        let (report, _) = diff_and_adopt(&prev, &s);
         assert_eq!(report.dirty_partitions, 0);
         assert_eq!(report.dirty_clusters, 0);
         assert!(report.total_partitions > 0);
@@ -366,7 +389,10 @@ mod tests {
         )
         .unwrap();
         let s2 = Session::new(&p2, Config::default());
-        let report = diff_and_adopt(&prev, &s2);
+        let (report, next) = diff_and_adopt(&prev, &s2);
+        // The diff's own fingerprint pass is the next epoch's snapshot.
+        assert_eq!(next, snapshot(&s2));
+        assert_ne!(next, prev);
         assert!(report.dirty_partitions > 0, "y's partition must dirty");
         assert!(
             report.dirty_partitions < report.total_partitions,
@@ -390,7 +416,29 @@ mod tests {
         )
         .unwrap();
         let s2 = Session::new(&p2, Config::default());
-        let report = diff_and_adopt(&prev, &s2);
+        let (report, _) = diff_and_adopt(&prev, &s2);
         assert!(report.all_dirty(), "a caller edit reaches every walk");
+    }
+
+    fn closed(deps: &[(u64, &[u64])], changed: &[u64]) -> Vec<u64> {
+        let mut dirty: Vec<u64> =
+            close_dirty(deps.iter().copied(), changed.iter().copied().collect())
+                .into_iter()
+                .collect();
+        dirty.sort_unstable();
+        dirty
+    }
+
+    #[test]
+    fn dirtiness_climbs_every_dependency_edge() {
+        // a depends on b, b on c: a change to c reaches a through b.
+        let chain: &[(u64, &[u64])] = &[(1, &[2]), (2, &[3]), (3, &[]), (4, &[])];
+        assert_eq!(closed(chain, &[3]), [1, 2, 3]);
+        assert_eq!(closed(chain, &[1]), [1]);
+        assert_eq!(closed(chain, &[]), Vec::<u64>::new());
+        // A diamond: 1 depends on 2 and 3, both on 4; 5 on 3 alone.
+        let diamond: &[(u64, &[u64])] = &[(1, &[2, 3]), (2, &[4]), (3, &[4]), (4, &[]), (5, &[3])];
+        assert_eq!(closed(diamond, &[4]), [1, 2, 3, 4, 5]);
+        assert_eq!(closed(diamond, &[2]), [1, 2]);
     }
 }

@@ -100,6 +100,11 @@ impl ClusterStore {
         *self.adoption.write() = Some(adoption);
     }
 
+    /// The whole-program hash computed when the store opened.
+    pub(crate) fn program_hash(&self) -> u64 {
+        self.program_hash
+    }
+
     /// This opening's hit/miss/invalidated counters.
     pub(crate) fn counters(&self) -> StoreCounters {
         self.store.counters()

@@ -554,8 +554,13 @@ impl<'p> Session<'p> {
 
     /// Whole-program content hash — the persistent store's cross-run
     /// validity gate. Stable across sessions over identical program text.
+    /// With a store open it is the hash the store took when it opened;
+    /// without one, the program is rendered and hashed on each call.
     pub fn program_content_hash(&self) -> u64 {
-        crate::persist::program_hash(self.program)
+        match &self.store {
+            Some(store) => store.program_hash(),
+            None => crate::persist::program_hash(self.program),
+        }
     }
 
     /// Arms cross-epoch store adoption: persisted entries recorded under

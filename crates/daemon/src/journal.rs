@@ -2,13 +2,13 @@
 //!
 //! The daemon's only durable state is the workspace's file set. After
 //! every accepted edit (and once at startup) the full set is written to
-//! `journal.bin` in the cache directory with the same discipline as the
-//! store's entries: encode, checksum, write to a temp file, `rename`
-//! into place. A SIGKILL between publishes therefore leaves either the
-//! previous journal or the new one — never a torn file — and a restart
-//! replays whichever epoch was last made durable; the persistent store
-//! then warms the rebuilt session to the same findings a cold run of
-//! that workspace produces.
+//! `journal.bin` in the cache directory the way the store writes its
+//! `counters.bin` sidecar: in the store's [`seal`] envelope, through its
+//! [`write_atomic`] temp file and `rename`. A SIGKILL between publishes
+//! therefore leaves either the previous journal or the new one — never a
+//! torn file — and a restart replays whichever epoch was last made
+//! durable; the persistent store then warms the rebuilt session to the
+//! same findings a cold run of that workspace produces.
 //!
 //! Layout (all through the store's checked [`codec`](bootstrap_store::codec)):
 //!
@@ -33,7 +33,7 @@ use std::io;
 use std::path::Path;
 
 use bootstrap_store::codec::{Reader, Writer};
-use bootstrap_store::hash_bytes;
+use bootstrap_store::{seal, unseal, write_atomic};
 
 /// Magic prefix of a journal file.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"BSAJRNL1";
@@ -82,18 +82,10 @@ pub fn save(path: &Path, epoch: u64, files: &BTreeMap<String, String>) -> io::Re
         body.str(name);
         body.str(content);
     }
-    let body = body.finish();
-    let mut w = Writer::new();
-    w.bytes(&JOURNAL_MAGIC);
-    w.bytes(&body);
-    w.u64(hash_bytes(&body));
-
     if let Some(dir) = path.parent() {
         fs::create_dir_all(dir)?;
     }
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, w.finish())?;
-    fs::rename(&tmp, path)
+    write_atomic(path, &seal(&JOURNAL_MAGIC, &body.finish()))
 }
 
 /// Loads the journal. `Ok(None)` when the file does not exist; a
@@ -104,19 +96,7 @@ pub fn load(path: &Path) -> Result<Option<JournalState>, JournalError> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(JournalError::Io(e)),
     };
-    let mut r = Reader::new(&bytes);
-    let magic = r.bytes().map_err(|_| JournalError::Corrupt("magic"))?;
-    if magic != JOURNAL_MAGIC {
-        return Err(JournalError::Corrupt("magic"));
-    }
-    let body = r.bytes().map_err(|_| JournalError::Corrupt("body"))?;
-    let sum = r.u64().map_err(|_| JournalError::Corrupt("checksum"))?;
-    if r.remaining() != 0 {
-        return Err(JournalError::Corrupt("trailing bytes"));
-    }
-    if sum != hash_bytes(body) {
-        return Err(JournalError::Corrupt("checksum mismatch"));
-    }
+    let body = unseal(&JOURNAL_MAGIC, &bytes).map_err(JournalError::Corrupt)?;
     let mut b = Reader::new(body);
     let version = b.u32().map_err(|_| JournalError::Corrupt("version"))?;
     if version != JOURNAL_VERSION {
@@ -154,6 +134,10 @@ mod tests {
         let path = dir.join("journal.bin");
         assert!(load(&path).unwrap().is_none());
         save(&path, 7, &files()).unwrap();
+        // The bytes are pinned: a journal written by an older build must
+        // keep replaying.
+        let raw = fs::read(&path).unwrap();
+        assert_eq!(bootstrap_store::hash_bytes(&raw), 0xbaef_dce8_6350_199b);
         let state = load(&path).unwrap().unwrap();
         assert_eq!(state.epoch, 7);
         assert_eq!(state.files, files());

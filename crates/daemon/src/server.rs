@@ -4,10 +4,13 @@
 //! a resident [`Session`] over a Unix socket. Its lifetime is a
 //! sequence of **epochs**: within an epoch the program is immutable and
 //! a fixed pool of workers answers `check`/`query`/`stats` requests
-//! concurrently; an accepted `edit` ends the epoch, the workers drain,
-//! the workspace advances, and the next epoch's session is rebuilt with
-//! the incremental machinery ([`diff_and_adopt`]) arming the persistent
-//! store to adopt every cluster the edit provably did not touch.
+//! concurrently; an `edit` that parses ends the serving scope, the
+//! workers drain, and the barrier lowers the edited workspace once. If
+//! it lowers, the workspace advances and the next epoch's session is
+//! built over that program, with the incremental machinery
+//! ([`diff_and_adopt`]) arming the persistent store to adopt every
+//! cluster the edit provably did not touch; if not, the edit is rejected
+//! and the epoch resumes.
 //!
 //! Robustness layers, in request order:
 //!
@@ -47,8 +50,8 @@ use std::time::{Duration, Instant};
 use bootstrap_checks::{render_text, run_checks_with, CheckerKind};
 use bootstrap_client::{decode_request, hex_u64, DirtySummary, Json, Request, Response, MAX_FRAME};
 use bootstrap_core::{
-    diff_and_adopt, snapshot, Config, DegradeReason, DirtyReport, FaultKind, FaultPhase, FaultPlan,
-    Interner, PartitionSnapshot, QueryLimits, Session, StoreConfig,
+    diff_and_adopt, snapshot, Analyzer, Config, DegradeReason, DirtyReport, FaultKind, FaultPhase,
+    FaultPlan, Interner, PartitionSnapshot, QueryLimits, Session, StoreConfig,
 };
 use bootstrap_ir::{Loc, Program};
 
@@ -107,7 +110,13 @@ impl ServeOptions {
 /// Runs the daemon until a `shutdown` request. Blocks the calling
 /// thread; tests run it on a spawned thread and stop it via the client.
 pub fn serve(opts: ServeOptions) -> io::Result<()> {
-    Daemon::new(opts)?.run()
+    Daemon {
+        opts,
+        counters: Counters::default(),
+        next_watch: AtomicU64::new(0),
+        corrupt_journal_armed: AtomicBool::new(false),
+    }
+    .run()
 }
 
 #[derive(Default)]
@@ -135,21 +144,20 @@ struct Daemon {
     corrupt_journal_armed: AtomicBool,
 }
 
-/// Why an epoch's serving scope wound down.
+/// How an epoch's serving scope wound down.
 enum EpochOutcome {
-    /// An edit was accepted; reply with `edit_ok` once the next epoch
-    /// (and its dirty accounting) is up.
-    Edit {
-        reply: UnixStream,
-        next: Workspace,
-    },
+    /// An edit was accepted; the next epoch serves it.
+    Edit(PendingEdit),
     Shutdown,
 }
 
-/// An accepted edit waiting for the epoch barrier.
+/// An accepted edit on its way across the epoch barrier: the client
+/// awaiting `edit_ok`, which carries the next epoch's dirty accounting,
+/// and the workspace with the program its validation lowered.
 struct PendingEdit {
     reply: UnixStream,
-    next: Workspace,
+    workspace: Workspace,
+    program: Program,
 }
 
 /// A connection being watched for client disconnect.
@@ -159,85 +167,32 @@ struct WatchEntry {
     cancel: Arc<AtomicBool>,
 }
 
-/// State shared by one epoch's acceptor, workers, and watchdog.
-struct EpochShared {
+/// One epoch: its resident session and workspace, and the state its
+/// acceptor, workers and watchdog share.
+struct EpochCx<'a, 'p> {
+    session: &'a Session<'p>,
+    workspace: &'a Workspace,
+    epoch: u64,
+    dirty_now: Option<DirtySummary>,
     queue: Mutex<VecDeque<UnixStream>>,
     available: Condvar,
     /// Requests currently queued or being handled (watchdog lifetime).
     active: AtomicU64,
     end: AtomicBool,
     shutdown: AtomicBool,
-    pending_edit: Mutex<Option<PendingEdit>>,
+    /// An edit that parsed, with the client awaiting its answer: the
+    /// barrier lowers it.
+    pending_edit: Mutex<Option<(UnixStream, Workspace)>>,
     watch: Mutex<Vec<WatchEntry>>,
 }
 
-/// Immutable per-epoch context handed to every worker.
-struct EpochCx<'a, 'p> {
-    session: &'a Session<'p>,
-    workspace: &'a Workspace,
-    epoch: u64,
-    dirty_now: Option<DirtySummary>,
-}
-
 impl Daemon {
-    fn new(opts: ServeOptions) -> io::Result<Daemon> {
-        Ok(Daemon {
-            opts,
-            counters: Counters::default(),
-            next_watch: AtomicU64::new(0),
-            corrupt_journal_armed: AtomicBool::new(false),
-        })
-    }
-
     fn journal_path(&self) -> Option<PathBuf> {
         self.opts.cache_dir.as_ref().map(|d| d.join("journal.bin"))
     }
 
     fn run(&self) -> io::Result<()> {
-        let seed = || {
-            Workspace::from_sources(
-                self.opts
-                    .seed_files
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), v.as_str())),
-            )
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))
-        };
-        let mut workspace = seed()?;
-        let mut epoch: u64 = 0;
-
-        // Crash recovery: replay the last durable epoch, if any. A
-        // corrupt journal is logged and demoted to the seed workspace.
-        if let Some(jp) = self.journal_path() {
-            match journal::load(&jp) {
-                Ok(Some(state)) => {
-                    let sources = state
-                        .files
-                        .iter()
-                        .map(|(k, v)| (k.as_str(), v.as_str()))
-                        .collect::<Vec<_>>();
-                    match Workspace::from_sources(sources) {
-                        Ok(ws) => {
-                            workspace = ws;
-                            epoch = state.epoch;
-                        }
-                        Err(e) => eprintln!(
-                            "bootstrap-daemon: journaled workspace no longer builds ({e}); \
-                             starting from seed"
-                        ),
-                    }
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    eprintln!("bootstrap-daemon: {e}; starting from seed workspace");
-                }
-            }
-            // Make the starting epoch durable immediately so a kill
-            // before the first edit still recovers to it.
-            if let Err(e) = journal::save(&jp, epoch, &workspace.sources()) {
-                eprintln!("bootstrap-daemon: journal write failed: {e}");
-            }
-        }
+        let (mut workspace, mut program, mut epoch) = self.recover()?;
 
         match fs::remove_file(&self.opts.socket) {
             Ok(()) => {}
@@ -247,40 +202,81 @@ impl Daemon {
         let listener = UnixListener::bind(&self.opts.socket)?;
         listener.set_nonblocking(true)?;
 
-        let mut prev_snapshot: Option<PartitionSnapshot> = None;
-        let mut pending_reply: Option<UnixStream> = None;
-        let mut last_dirty: Option<DirtySummary> = None;
+        let mut prev: Option<PartitionSnapshot> = None;
+        let mut reply: Option<UnixStream> = None;
         loop {
-            let program = workspace.lower().unwrap_or_else(|e| {
-                eprintln!("bootstrap-daemon: resident workspace failed to lower ({e})");
-                bootstrap_ir::lower::lower(&Default::default())
-            });
-            let outcome = self.run_epoch(
+            let (outcome, snap) = self.run_epoch(
                 &listener,
                 &program,
                 &workspace,
                 epoch,
-                &mut prev_snapshot,
-                pending_reply.take(),
-                &mut last_dirty,
+                prev.as_ref(),
+                reply.take(),
             );
+            prev = Some(snap);
             match outcome {
                 EpochOutcome::Shutdown => {
                     let _ = fs::remove_file(&self.opts.socket);
                     return Ok(());
                 }
-                EpochOutcome::Edit { reply, next } => {
-                    workspace = next;
+                EpochOutcome::Edit(edit) => {
+                    workspace = edit.workspace;
+                    program = edit.program;
                     epoch += 1;
-                    if let Some(jp) = self.journal_path() {
-                        if let Err(e) = journal::save(&jp, epoch, &workspace.sources()) {
-                            eprintln!("bootstrap-daemon: journal write failed: {e}");
-                        }
-                        self.maybe_corrupt_journal(&jp);
-                    }
-                    pending_reply = Some(reply);
+                    self.journal(epoch, &workspace);
+                    reply = Some(edit.reply);
                 }
             }
+        }
+    }
+
+    /// The first workspace to serve, lowered once, and its epoch. Crash
+    /// recovery replays the last durable epoch when the journal loads and
+    /// its workspace still lowers; otherwise (logged) the seed is served,
+    /// and a seed that fails to parse or lower fails `serve`.
+    fn recover(&self) -> io::Result<(Workspace, Program, u64)> {
+        let invalid =
+            |e: WorkspaceError| io::Error::new(io::ErrorKind::InvalidInput, e.to_string());
+        let build = |files: &BTreeMap<String, String>| {
+            Workspace::from_sources(files.iter().map(|(k, v)| (k.as_str(), v.as_str())))
+        };
+        let seed = build(&self.opts.seed_files).map_err(invalid)?;
+        let replayed = self.journal_path().and_then(|jp| match journal::load(&jp) {
+            Ok(Some(state)) => build(&state.files)
+                .and_then(|ws| ws.lower().map(|program| (ws, program, state.epoch)))
+                .map_err(|e| {
+                    eprintln!(
+                        "bootstrap-daemon: journaled workspace no longer builds ({e}); \
+                         starting from seed"
+                    )
+                })
+                .ok(),
+            Ok(None) => None,
+            Err(e) => {
+                eprintln!("bootstrap-daemon: {e}; starting from seed workspace");
+                None
+            }
+        });
+        let (workspace, program, epoch) = match replayed {
+            Some(r) => r,
+            None => {
+                let program = seed.lower().map_err(invalid)?;
+                (seed, program, 0)
+            }
+        };
+        // Make the starting epoch durable immediately so a kill before the
+        // first edit still recovers to it.
+        self.journal(epoch, &workspace);
+        Ok((workspace, program, epoch))
+    }
+
+    /// Journals `epoch`'s workspace when the daemon has a cache directory.
+    fn journal(&self, epoch: u64, workspace: &Workspace) {
+        if let Some(jp) = self.journal_path() {
+            if let Err(e) = journal::save(&jp, epoch, &workspace.sources()) {
+                eprintln!("bootstrap-daemon: journal write failed: {e}");
+            }
+            self.maybe_corrupt_journal(&jp);
         }
     }
 
@@ -298,17 +294,20 @@ impl Daemon {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Serves one epoch of `program`. The session's single fingerprint
+    /// pass diffs it against `prev`, the previous epoch's snapshot, and
+    /// arms store adoption; `reply`, the edit that opened the epoch, is
+    /// then answered with that dirty accounting. Returns how the epoch
+    /// ended and its snapshot, which the next epoch diffs against.
     fn run_epoch(
         &self,
         listener: &UnixListener,
         program: &Program,
         workspace: &Workspace,
         epoch: u64,
-        prev_snapshot: &mut Option<PartitionSnapshot>,
-        pending_reply: Option<UnixStream>,
-        last_dirty: &mut Option<DirtySummary>,
-    ) -> EpochOutcome {
+        prev: Option<&PartitionSnapshot>,
+        reply: Option<UnixStream>,
+    ) -> (EpochOutcome, PartitionSnapshot) {
         let mut config = Config {
             store: self.opts.cache_dir.clone().map(StoreConfig::new),
             ..Config::default()
@@ -320,73 +319,84 @@ impl Daemon {
         }
         let session = Session::new(program, config);
 
-        if let Some(prev) = prev_snapshot.as_ref() {
-            let report = diff_and_adopt(prev, &session);
-            self.counters
-                .dirty_clusters_total
-                .fetch_add(report.dirty_clusters as u64, Ordering::Relaxed);
-            self.counters
-                .clusters_total
-                .fetch_add(report.total_clusters as u64, Ordering::Relaxed);
-            *last_dirty = Some(summary_of(report));
-        }
-        *prev_snapshot = Some(snapshot(&session));
-
-        // The edit that opened this epoch is answered now, with the
-        // dirty accounting its barrier produced.
-        if let Some(mut reply) = pending_reply {
+        let (snap, dirty_now) = match prev {
+            None => (snapshot(&session), None),
+            Some(prev) => {
+                let (report, snap) = diff_and_adopt(prev, &session);
+                self.counters
+                    .dirty_clusters_total
+                    .fetch_add(report.dirty_clusters as u64, Ordering::Relaxed);
+                self.counters
+                    .clusters_total
+                    .fetch_add(report.total_clusters as u64, Ordering::Relaxed);
+                (snap, Some(summary_of(report)))
+            }
+        };
+        if let Some(mut reply) = reply {
             let resp = Response::EditOk {
                 epoch,
-                dirty: last_dirty.clone().unwrap_or_default(),
+                dirty: dirty_now.clone().unwrap_or_default(),
             };
             let _ = write_response(&mut reply, &resp);
         }
 
-        let cx = EpochCx {
-            session: &session,
-            workspace,
-            epoch,
-            dirty_now: last_dirty.clone(),
-        };
-        let shared = EpochShared {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            active: AtomicU64::new(0),
-            end: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            pending_edit: Mutex::new(None),
-            watch: Mutex::new(Vec::new()),
-        };
-
-        std::thread::scope(|s| {
-            for _ in 0..self.opts.workers.max(1) {
-                s.spawn(|| self.worker(&shared, &cx));
+        // Serve until an edit or a shutdown ends the scope. The barrier
+        // lowers the edit here, on the thread that builds every session:
+        // a program lowered on a worker would outlive that thread, and
+        // holding one across an epoch raised peak RSS by a fifth on the
+        // deep-chains workload (EXPERIMENTS.md). A rejected edit resumes
+        // the epoch in a fresh scope.
+        loop {
+            let cx = EpochCx {
+                session: &session,
+                workspace,
+                epoch,
+                dirty_now: dirty_now.clone(),
+                queue: Mutex::new(VecDeque::new()),
+                available: Condvar::new(),
+                active: AtomicU64::new(0),
+                end: AtomicBool::new(false),
+                shutdown: AtomicBool::new(false),
+                pending_edit: Mutex::new(None),
+                watch: Mutex::new(Vec::new()),
+            };
+            std::thread::scope(|s| {
+                for _ in 0..self.opts.workers.max(1) {
+                    s.spawn(|| self.worker(&cx));
+                }
+                s.spawn(|| self.watchdog(&cx));
+                self.acceptor(listener, &cx);
+            });
+            if cx.shutdown.load(Ordering::SeqCst) {
+                return (EpochOutcome::Shutdown, snap);
             }
-            s.spawn(|| self.watchdog(&shared));
-            self.acceptor(listener, &shared);
-        });
-
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return EpochOutcome::Shutdown;
-        }
-        let pending = shared
-            .pending_edit
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .expect("epoch ended without edit or shutdown");
-        EpochOutcome::Edit {
-            reply: pending.reply,
-            next: pending.next,
+            let (mut reply, workspace) = cx
+                .pending_edit
+                .into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .expect("epoch ended without edit or shutdown");
+            match workspace.lower() {
+                Ok(program) => {
+                    self.counters.edits_applied.fetch_add(1, Ordering::Relaxed);
+                    let edit = PendingEdit {
+                        reply,
+                        workspace,
+                        program,
+                    };
+                    return (EpochOutcome::Edit(edit), snap);
+                }
+                Err(e) => self.reject_edit(&mut reply, &e),
+            }
         }
     }
 
     /// Accepts connections into the bounded queue, shedding beyond the
     /// cap. Runs on the epoch scope's own thread until the epoch ends.
-    fn acceptor(&self, listener: &UnixListener, shared: &EpochShared) {
-        while !shared.end.load(Ordering::SeqCst) {
+    fn acceptor(&self, listener: &UnixListener, cx: &EpochCx<'_, '_>) {
+        while !cx.end.load(Ordering::SeqCst) {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+                    let mut q = cx.queue.lock().unwrap_or_else(|e| e.into_inner());
                     if q.len() >= self.opts.queue_cap.max(1) {
                         drop(q);
                         self.counters.shed.fetch_add(1, Ordering::Relaxed);
@@ -399,9 +409,9 @@ impl Daemon {
                         );
                     } else {
                         q.push_back(stream);
-                        shared.active.fetch_add(1, Ordering::SeqCst);
+                        cx.active.fetch_add(1, Ordering::SeqCst);
                         drop(q);
-                        shared.available.notify_one();
+                        cx.available.notify_one();
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -410,19 +420,19 @@ impl Daemon {
                 Err(_) => std::thread::sleep(Duration::from_millis(2)),
             }
         }
-        shared.available.notify_all();
+        cx.available.notify_all();
     }
 
     /// Polls watched connections; a vanished client flips its request's
     /// cancel flag so the ladder abandons the work at the next budget
     /// checkpoint.
-    fn watchdog(&self, shared: &EpochShared) {
+    fn watchdog(&self, cx: &EpochCx<'_, '_>) {
         loop {
-            if shared.end.load(Ordering::SeqCst) && shared.active.load(Ordering::SeqCst) == 0 {
+            if cx.end.load(Ordering::SeqCst) && cx.active.load(Ordering::SeqCst) == 0 {
                 return;
             }
             {
-                let mut watch = shared.watch.lock().unwrap_or_else(|e| e.into_inner());
+                let mut watch = cx.watch.lock().unwrap_or_else(|e| e.into_inner());
                 for entry in watch.iter_mut() {
                     // A non-blocking 1-byte read: `Ok(0)` is EOF (the
                     // client hung up), `WouldBlock` means still
@@ -442,18 +452,18 @@ impl Daemon {
         }
     }
 
-    fn worker(&self, shared: &EpochShared, cx: &EpochCx<'_, '_>) {
+    fn worker(&self, cx: &EpochCx<'_, '_>) {
         loop {
             let conn = {
-                let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+                let mut q = cx.queue.lock().unwrap_or_else(|e| e.into_inner());
                 loop {
                     if let Some(c) = q.pop_front() {
                         break Some(c);
                     }
-                    if shared.end.load(Ordering::SeqCst) {
+                    if cx.end.load(Ordering::SeqCst) {
                         break None;
                     }
-                    let (guard, _) = shared
+                    let (guard, _) = cx
                         .available
                         .wait_timeout(q, Duration::from_millis(50))
                         .unwrap_or_else(|e| e.into_inner());
@@ -461,12 +471,12 @@ impl Daemon {
                 }
             };
             let Some(conn) = conn else { return };
-            self.handle(conn, shared, cx);
-            shared.active.fetch_sub(1, Ordering::SeqCst);
+            self.handle(conn, cx);
+            cx.active.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
-    fn handle(&self, mut conn: UnixStream, shared: &EpochShared, cx: &EpochCx<'_, '_>) {
+    fn handle(&self, mut conn: UnixStream, cx: &EpochCx<'_, '_>) {
         let tick = self.counters.requests.fetch_add(1, Ordering::SeqCst) + 1;
         let _ = conn.set_read_timeout(Some(Duration::from_millis(READ_TIMEOUT_MS)));
         let payload = match bootstrap_client::read_frame(&mut conn) {
@@ -519,53 +529,86 @@ impl Daemon {
 
         match req {
             Request::Check { kinds, deadline_ms } => {
-                self.handle_check(conn, shared, cx, &kinds, deadline_ms)
+                self.handle_check(conn, cx, &kinds, deadline_ms)
             }
             Request::Query {
                 func,
                 stmt,
                 var,
                 deadline_ms,
-            } => self.handle_query(conn, shared, cx, &func, stmt, &var, deadline_ms),
+            } => self.handle_query(conn, cx, &func, stmt, &var, deadline_ms),
             Request::Stats => {
                 let resp = self.stats_response(cx);
                 let _ = write_response(&mut conn, &resp);
             }
             Request::Edit { file, content } => {
-                self.handle_edit(conn, shared, cx, &file, content.as_deref())
+                self.handle_edit(conn, cx, &file, content.as_deref())
             }
             Request::Shutdown => {
                 let _ = write_response(&mut conn, &Response::ShutdownOk);
-                shared.shutdown.store(true, Ordering::SeqCst);
-                shared.end.store(true, Ordering::SeqCst);
-                shared.available.notify_all();
+                cx.shutdown.store(true, Ordering::SeqCst);
+                cx.end.store(true, Ordering::SeqCst);
+                cx.available.notify_all();
             }
         }
     }
 
-    fn limits_for(&self, deadline_ms: Option<u64>, cancel: Arc<AtomicBool>) -> QueryLimits {
+    /// Fresh limits for one request: its deadline (or the daemon's
+    /// default) and a cancel flag for the watchdog to raise.
+    fn limits_for(&self, deadline_ms: Option<u64>) -> QueryLimits {
         QueryLimits {
             deadline: deadline_ms
                 .or(self.opts.default_deadline_ms)
                 .map(|ms| Instant::now() + Duration::from_millis(ms)),
-            cancel: Some(cancel),
+            cancel: Some(Arc::new(AtomicBool::new(false))),
         }
     }
 
-    /// A fresh analyzer over a doubled private arena, for the one-shot
-    /// retry after a panicked request (poisoned shared state is left
-    /// behind, arena overflow gets headroom).
-    fn retry_analyzer<'a>(&self, session: &'a Session<'_>) -> bootstrap_core::Analyzer<'a> {
-        session.analyzer_with_arena(Arc::new(Interner::with_max_ids(
-            session.config().cond_cap,
-            session.config().interner_max_ids.saturating_mul(2),
-        )))
+    /// Runs one request's analysis in isolation. While `job` runs, the
+    /// connection is watched, so a vanished client raises the cancel flag
+    /// of `limits`. A panic is retried once on a fresh analyzer over a
+    /// doubled private arena (poisoned shared state is left behind, arena
+    /// overflow gets headroom); a second one is answered with a structured
+    /// `internal-panic` error naming `what`, and yields `None`.
+    fn isolated<'a, T>(
+        &self,
+        conn: &mut UnixStream,
+        cx: &EpochCx<'a, '_>,
+        limits: &QueryLimits,
+        what: &str,
+        job: impl Fn(Analyzer<'a>) -> T,
+    ) -> Option<T> {
+        let watch = limits
+            .cancel
+            .clone()
+            .and_then(|cancel| self.register_watch(cx, conn, cancel));
+        let session = cx.session;
+        let result = catch_unwind(AssertUnwindSafe(|| job(session.analyzer()))).or_else(|_| {
+            self.counters.panics.fetch_add(1, Ordering::Relaxed);
+            self.counters.retried.fetch_add(1, Ordering::Relaxed);
+            catch_unwind(AssertUnwindSafe(|| {
+                job(session.analyzer_with_arena(Arc::new(Interner::with_max_ids(
+                    session.config().cond_cap,
+                    session.config().interner_max_ids.saturating_mul(2),
+                ))))
+            }))
+        });
+        self.unregister_watch(cx, watch);
+        if result.is_err() {
+            let _ = write_response(
+                conn,
+                &Response::Error {
+                    kind: "internal-panic".into(),
+                    message: format!("{what} panicked twice; request isolated"),
+                },
+            );
+        }
+        result.ok()
     }
 
     fn handle_check(
         &self,
         mut conn: UnixStream,
-        shared: &EpochShared,
         cx: &EpochCx<'_, '_>,
         kind_names: &[String],
         deadline_ms: Option<u64>,
@@ -591,38 +634,13 @@ impl Daemon {
                 }
             }
         };
-        let cancel = Arc::new(AtomicBool::new(false));
-        let limits = self.limits_for(deadline_ms, cancel.clone());
-        let watch = self.register_watch(shared, &conn, cancel);
+        let limits = self.limits_for(deadline_ms);
         let session = cx.session;
-        let report = catch_unwind(AssertUnwindSafe(|| {
-            run_checks_with(session, &kinds, &limits, session.analyzer())
-        }));
-        let report = match report {
-            Ok(r) => r,
-            Err(_) => {
-                self.counters.panics.fetch_add(1, Ordering::Relaxed);
-                self.counters.retried.fetch_add(1, Ordering::Relaxed);
-                let az = self.retry_analyzer(session);
-                match catch_unwind(AssertUnwindSafe(|| {
-                    run_checks_with(session, &kinds, &limits, az)
-                })) {
-                    Ok(r) => r,
-                    Err(_) => {
-                        self.unregister_watch(shared, watch);
-                        let _ = write_response(
-                            &mut conn,
-                            &Response::Error {
-                                kind: "internal-panic".into(),
-                                message: "check batch panicked twice; request isolated".into(),
-                            },
-                        );
-                        return;
-                    }
-                }
-            }
+        let Some(report) = self.isolated(&mut conn, cx, &limits, "check batch", |az| {
+            run_checks_with(session, &kinds, &limits, az)
+        }) else {
+            return;
         };
-        self.unregister_watch(shared, watch);
         if limits.cancelled() {
             self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
         }
@@ -635,11 +653,9 @@ impl Daemon {
         let _ = write_response(&mut conn, &resp);
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn handle_query(
         &self,
         mut conn: UnixStream,
-        shared: &EpochShared,
         cx: &EpochCx<'_, '_>,
         func: &str,
         stmt: u64,
@@ -671,39 +687,13 @@ impl Daemon {
         };
         let loc = Loc::new(fid, stmt as u32);
 
-        let cancel = Arc::new(AtomicBool::new(false));
-        let limits = self.limits_for(deadline_ms, cancel.clone());
-        let watch = self.register_watch(shared, &conn, cancel);
+        let limits = self.limits_for(deadline_ms);
         let session = cx.session;
-        let answer = catch_unwind(AssertUnwindSafe(|| {
-            let az = session.analyzer();
+        let Some(answer) = self.isolated(&mut conn, cx, &limits, "query", |az| {
             session.query_at_loc_limited(&az, v, loc, &limits)
-        }));
-        let answer = match answer {
-            Ok(a) => a,
-            Err(_) => {
-                self.counters.panics.fetch_add(1, Ordering::Relaxed);
-                self.counters.retried.fetch_add(1, Ordering::Relaxed);
-                match catch_unwind(AssertUnwindSafe(|| {
-                    let az = self.retry_analyzer(session);
-                    session.query_at_loc_limited(&az, v, loc, &limits)
-                })) {
-                    Ok(a) => a,
-                    Err(_) => {
-                        self.unregister_watch(shared, watch);
-                        let _ = write_response(
-                            &mut conn,
-                            &Response::Error {
-                                kind: "internal-panic".into(),
-                                message: "query panicked twice; request isolated".into(),
-                            },
-                        );
-                        return;
-                    }
-                }
-            }
+        }) else {
+            return;
         };
-        self.unregister_watch(shared, watch);
         if answer.reason == Some(DegradeReason::Cancelled) {
             self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
         }
@@ -722,16 +712,12 @@ impl Daemon {
     fn handle_edit(
         &self,
         mut conn: UnixStream,
-        shared: &EpochShared,
         cx: &EpochCx<'_, '_>,
         file: &str,
         content: Option<&str>,
     ) {
-        let mut pending = shared
-            .pending_edit
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if pending.is_some() || shared.end.load(Ordering::SeqCst) {
+        let mut pending = cx.pending_edit.lock().unwrap_or_else(|e| e.into_inner());
+        if pending.is_some() || cx.end.load(Ordering::SeqCst) {
             drop(pending);
             // An epoch barrier is already in flight; the client's
             // backoff resubmits against the next epoch.
@@ -743,36 +729,36 @@ impl Daemon {
             );
             return;
         }
-        let validated = cx
-            .workspace
-            .with_edit(file, content)
-            .and_then(|ws| ws.lower().map(|_| ws));
-        match validated {
+        match cx.workspace.with_edit(file, content) {
             Err(e) => {
                 drop(pending);
-                self.counters.edits_rejected.fetch_add(1, Ordering::Relaxed);
-                let kind = match e {
-                    WorkspaceError::Parse { .. } => "parse-error",
-                    WorkspaceError::Duplicate { .. } | WorkspaceError::Lower(_) => "invalid-edit",
-                };
-                let _ = write_response(
-                    &mut conn,
-                    &Response::Error {
-                        kind: kind.into(),
-                        message: e.to_string(),
-                    },
-                );
+                self.reject_edit(&mut conn, &e);
             }
             Ok(next) => {
-                self.counters.edits_applied.fetch_add(1, Ordering::Relaxed);
-                // The reply is deferred: it carries the next epoch's
-                // dirty accounting, so it is written after the barrier.
-                *pending = Some(PendingEdit { reply: conn, next });
+                // The reply is deferred: the barrier validates the merged
+                // program, and `edit_ok` carries the next epoch's dirty
+                // accounting.
+                *pending = Some((conn, next));
                 drop(pending);
-                shared.end.store(true, Ordering::SeqCst);
-                shared.available.notify_all();
+                cx.end.store(true, Ordering::SeqCst);
+                cx.available.notify_all();
             }
         }
+    }
+
+    fn reject_edit(&self, conn: &mut UnixStream, e: &WorkspaceError) {
+        self.counters.edits_rejected.fetch_add(1, Ordering::Relaxed);
+        let kind = match e {
+            WorkspaceError::Parse { .. } => "parse-error",
+            WorkspaceError::Duplicate { .. } | WorkspaceError::Lower(_) => "invalid-edit",
+        };
+        let _ = write_response(
+            conn,
+            &Response::Error {
+                kind: kind.into(),
+                message: e.to_string(),
+            },
+        );
     }
 
     fn stats_response(&self, cx: &EpochCx<'_, '_>) -> Response {
@@ -817,25 +803,23 @@ impl Daemon {
     /// write both tolerate `WouldBlock`).
     fn register_watch(
         &self,
-        shared: &EpochShared,
+        cx: &EpochCx<'_, '_>,
         conn: &UnixStream,
         cancel: Arc<AtomicBool>,
     ) -> Option<u64> {
         let stream = conn.try_clone().ok()?;
         let _ = conn.set_nonblocking(true);
         let id = self.next_watch.fetch_add(1, Ordering::SeqCst);
-        shared
-            .watch
+        cx.watch
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(WatchEntry { id, stream, cancel });
         Some(id)
     }
 
-    fn unregister_watch(&self, shared: &EpochShared, id: Option<u64>) {
+    fn unregister_watch(&self, cx: &EpochCx<'_, '_>, id: Option<u64>) {
         if let Some(id) = id {
-            shared
-                .watch
+            cx.watch
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .retain(|e| e.id != id);

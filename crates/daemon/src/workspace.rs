@@ -76,6 +76,8 @@ impl Workspace {
     }
 
     /// Builds a workspace from `(name, source)` pairs, parsing each file.
+    /// Like [`Workspace::with_edit`], this does not validate across files:
+    /// [`Workspace::lower`] does, and yields the program too.
     pub fn from_sources<'a>(
         sources: impl IntoIterator<Item = (&'a str, &'a str)>,
     ) -> Result<Workspace, WorkspaceError> {
@@ -83,9 +85,6 @@ impl Workspace {
         for (name, source) in sources {
             ws = ws.with_edit(name, Some(source))?;
         }
-        // Cross-file validation (duplicates) happens at lower time; run
-        // it now so a bad seed set is rejected up front.
-        ws.lower()?;
         Ok(ws)
     }
 

@@ -11,7 +11,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::Duration;
 
-use bootstrap_client::{decode_response, read_frame, write_frame, Client, Request, Response};
+use bootstrap_client::{
+    decode_response, read_frame, write_frame, Client, DirtySummary, Request, Response,
+};
 use bootstrap_core::{FaultKind, FaultPhase, FaultPlan};
 use bootstrap_daemon::ServeOptions;
 
@@ -142,6 +144,18 @@ fn smoke_check_query_edit_stats_shutdown() {
             assert!(
                 dirty.dirty_partitions > 0 && dirty.dirty_partitions < dirty.total_partitions,
                 "single-file edit must dirty a strict subset of partitions: {dirty:?}"
+            );
+            // The exact footprint: b's two partitions (and their two
+            // clusters) of seven, with a/c's adopted from the store.
+            assert_eq!(
+                dirty,
+                DirtySummary {
+                    total_partitions: 7,
+                    dirty_partitions: 2,
+                    total_clusters: 7,
+                    dirty_clusters: 2,
+                    adopted: true,
+                }
             );
         }
         other => panic!("expected edit_ok, got {other:?}"),

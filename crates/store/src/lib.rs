@@ -29,6 +29,10 @@
 //! Hit/miss/invalidated counters are kept in-memory per open store and
 //! accumulated into a small sidecar file (`counters.bin`) so the CLI's
 //! `cache` subcommand can report lifetime totals.
+//!
+//! Small files that must never be read torn — `counters.bin` here, the
+//! daemon's journal elsewhere — share one [`seal`]ed envelope, and every
+//! file this crate writes goes through [`write_atomic`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -343,13 +347,8 @@ impl Store {
         w.u64(program_hash);
         w.bytes(payload);
         w.u64(hash_bytes(payload));
-        let tmp = self
-            .config
-            .dir
-            .join(format!(".tmp-{key:016x}-{}", std::process::id()));
         let _lock = self.lock_exclusive();
-        fs::write(&tmp, w.finish())?;
-        fs::rename(&tmp, self.entry_path(key))?;
+        write_atomic(&self.entry_path(key), &w.finish())?;
         self.evict_to_cap();
         Ok(())
     }
@@ -457,18 +456,8 @@ impl Store {
         body.u64(next.hits);
         body.u64(next.misses);
         body.u64(next.invalidated);
-        let body = body.finish();
-        let mut w = Writer::new();
-        w.bytes(&COUNTERS_MAGIC);
-        w.bytes(&body);
-        w.u64(hash_bytes(&body));
-        let tmp = self
-            .config
-            .dir
-            .join(format!(".tmp-counters-{}", std::process::id()));
-        if fs::write(&tmp, w.finish()).is_ok() {
-            let _ = fs::rename(&tmp, self.config.dir.join(COUNTERS_FILE));
-        }
+        let sealed = seal(&COUNTERS_MAGIC, &body.finish());
+        let _ = write_atomic(&self.config.dir.join(COUNTERS_FILE), &sealed);
     }
 }
 
@@ -476,6 +465,52 @@ impl Drop for Store {
     fn drop(&mut self) {
         self.flush_counters();
     }
+}
+
+/// Seals `body` in the checksummed envelope of `counters.bin` and the
+/// daemon journal: the length-prefixed `magic`, the length-prefixed
+/// body, then the [`hash_bytes`] checksum of the body.
+pub fn seal(magic: &[u8; 8], body: &[u8]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.bytes(magic);
+    w.bytes(body);
+    w.u64(hash_bytes(body));
+    w.finish()
+}
+
+/// Opens an envelope written by [`seal`] and returns its body, or names
+/// the first check it fails: `"magic"` (missing, truncated or wrong),
+/// `"body"` or `"checksum"` (missing or truncated), `"trailing bytes"`
+/// or `"checksum mismatch"`. Never panics on any input.
+pub fn unseal<'a>(magic: &[u8; 8], raw: &'a [u8]) -> Result<&'a [u8], &'static str> {
+    let mut r = Reader::new(raw);
+    if r.bytes().map_err(|_| "magic")? != magic {
+        return Err("magic");
+    }
+    let body = r.bytes().map_err(|_| "body")?;
+    let checksum = r.u64().map_err(|_| "checksum")?;
+    if r.remaining() != 0 {
+        return Err("trailing bytes");
+    }
+    if checksum != hash_bytes(body) {
+        return Err("checksum mismatch");
+    }
+    Ok(body)
+}
+
+/// Replaces `path` with `bytes` through a temp file beside it and a
+/// `rename`, so a reader, or a restart after `kill -9`, finds the old
+/// file or the new one and never a torn one. Nothing is `fsync`ed: the
+/// file survives a killed process, not a power loss.
+///
+/// # Errors
+///
+/// Propagates I/O failures from the temp-file write or the rename.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp-{}", std::process::id()));
+    fs::write(&tmp, bytes)?;
+    fs::rename(&tmp, path)
 }
 
 /// Lists entry files in `dir` (empty on a missing directory).
@@ -525,28 +560,17 @@ pub fn try_read_lifetime_counters(dir: &Path) -> Result<StoreCounters, CorruptSi
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(StoreCounters::default()),
         Err(_) => return Err(CorruptSidecar),
     };
-    let mut r = Reader::new(&raw);
-    (|| -> Result<StoreCounters, CorruptSidecar> {
-        let magic = r.bytes().map_err(|_| CorruptSidecar)?;
-        if magic != COUNTERS_MAGIC {
-            return Err(CorruptSidecar);
-        }
-        let body = r.bytes().map_err(|_| CorruptSidecar)?;
-        let checksum = r.u64().map_err(|_| CorruptSidecar)?;
-        if checksum != hash_bytes(body) || r.remaining() != 0 {
-            return Err(CorruptSidecar);
-        }
-        let mut b = Reader::new(body);
-        let counters = StoreCounters {
-            hits: b.u64().map_err(|_| CorruptSidecar)?,
-            misses: b.u64().map_err(|_| CorruptSidecar)?,
-            invalidated: b.u64().map_err(|_| CorruptSidecar)?,
-        };
-        if b.remaining() != 0 {
-            return Err(CorruptSidecar);
-        }
-        Ok(counters)
-    })()
+    let body = unseal(&COUNTERS_MAGIC, &raw).map_err(|_| CorruptSidecar)?;
+    let mut b = Reader::new(body);
+    let counters = StoreCounters {
+        hits: b.u64().map_err(|_| CorruptSidecar)?,
+        misses: b.u64().map_err(|_| CorruptSidecar)?,
+        invalidated: b.u64().map_err(|_| CorruptSidecar)?,
+    };
+    if b.remaining() != 0 {
+        return Err(CorruptSidecar);
+    }
+    Ok(counters)
 }
 
 /// Validation ladder for one raw entry file: magic → version → key echo
@@ -768,6 +792,10 @@ mod tests {
         second.flush_counters();
         let life = read_lifetime_counters(&config.dir);
         assert_eq!((life.hits, life.misses, life.invalidated), (2, 1, 0));
+        // The sidecar's bytes are pinned: a lifetime written by an older
+        // build must keep validating.
+        let raw = fs::read(config.dir.join(COUNTERS_FILE)).unwrap();
+        assert_eq!(hash_bytes(&raw), 0x09f8_596e_bf85_aabc);
         // Flushing twice never double-counts.
         second.flush_counters();
         drop(second);
