@@ -82,16 +82,6 @@ impl EscapeResult {
             .unwrap_or(&EMPTY)
     }
 
-    /// All escaped variables, sorted by id (deterministic reporting order).
-    pub fn escaped_vars(&self) -> Vec<VarId> {
-        self.escaped
-            .iter()
-            .enumerate()
-            .filter(|&(_, &e)| e)
-            .map(|(i, _)| VarId::new(i))
-            .collect()
-    }
-
     /// Returns `true` when code in `f` and code in `g` may execute
     /// concurrently: their thread sets contain two distinct threads, or a
     /// common thread with multiple dynamic instances.

@@ -63,12 +63,6 @@ impl SteensgaardResult {
         self.class_of_var[v.index()]
     }
 
-    /// Number of classes (including classes of synthetic locations that
-    /// contain no program variable).
-    pub fn class_count(&self) -> usize {
-        self.members.len()
-    }
-
     /// The program variables in class `c` (sorted; may be empty for
     /// synthetic locations).
     pub fn members(&self, c: ClassId) -> &[VarId] {

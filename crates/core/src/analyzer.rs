@@ -175,12 +175,7 @@ impl<'s> Analyzer<'s> {
         if let Some(e) = self.engines.borrow().get(&key) {
             return Rc::clone(e);
         }
-        let mut members = self.session.partition_members(key).to_vec();
-        if members.is_empty() {
-            // Non-pointer or synthetic variables are not in any alias
-            // partition; analyze them as their own location class.
-            members = self.session.steens().members(key).to_vec();
-        }
+        let members = self.session.engine_members(key).to_vec();
         let engine = Rc::new(RefCell::new(self.build_engine(members)));
         self.engines.borrow_mut().insert(key, Rc::clone(&engine));
         engine

@@ -206,27 +206,6 @@ impl ClusterEngine {
         )
     }
 
-    /// Like [`ClusterEngine::new`], optionally enabling the path-sensitive
-    /// mode: the backward walk then records branch literals (for
-    /// function-local, address-not-taken condition variables) in each
-    /// tuple's constraint and prunes syntactically infeasible paths.
-    pub fn with_options(
-        cx: EngineCx<'_>,
-        members: Vec<VarId>,
-        cond_cap: usize,
-        path_sensitive: bool,
-    ) -> Self {
-        Self::with_engine_options(
-            cx,
-            members,
-            EngineOptions {
-                cond_cap,
-                path_sensitive,
-                ..EngineOptions::default()
-            },
-        )
-    }
-
     /// Builds the engine with full [`EngineOptions`] control (shared arena,
     /// the uninterned oracle walk).
     pub fn with_engine_options(

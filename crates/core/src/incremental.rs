@@ -11,12 +11,12 @@
 //! can observe:
 //!
 //! * its sorted member-variable names (membership change ⇒ new identity);
-//! * the full statement text of every function its relevant slice
-//!   touches, *closed upward over the call graph* — the FSCS climb
-//!   (Algorithm 3) walks backward through callers, so a caller body edit
-//!   can change a warm query's answer even when the slice lines are
-//!   untouched;
-//! * the pointer-ness of every slice variable.
+//! * the content digest (statements, edges, branch variables; DESIGN.md
+//!   §12) of every function its relevant slice touches, *closed upward
+//!   over the call graph* — the FSCS climb (Algorithm 3) walks backward
+//!   through callers, so a caller body edit can change a warm query's
+//!   answer even when the slice lines are untouched;
+//! * the name and pointer-ness of every slice variable.
 //!
 //! Partitions also carry **dependency edges** to the partitions owning
 //! their slice variables: summary fixpoints consult the cross-partition
@@ -38,11 +38,12 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::hash::Hasher;
 
 use bootstrap_analyses::ClassId;
-use bootstrap_ir::{display::stmt_to_string, FuncId, Program, VarId};
+use bootstrap_ir::{Program, VarId};
 use bootstrap_store::{FxHasher64, FORMAT_VERSION};
 
 use crate::cover::ClusterOrigin;
-use crate::relevant::relevant_statements_indexed;
+use crate::persist::{hash_str, write_names};
+use crate::relevant::{modifying_functions, relevant_statements_indexed};
 use crate::session::Session;
 
 /// A per-partition content snapshot of one program epoch: canonical
@@ -111,11 +112,12 @@ fn snapshot_of(session: &Session<'_>, units: &BTreeMap<u64, Unit>) -> PartitionS
 /// against.
 ///
 /// Sound because a clean fingerprint pins the partition's members, its
-/// relevant slice, and every function body its walks can traverse — so
-/// the store's content-addressed cluster key and the recorded artifacts
-/// are byte-identical to what a cold run of the new epoch would produce —
-/// and dirtiness closes transitively over the partitions whose engines
-/// the FSCI oracle consults.
+/// relevant slice, and every function body its walks can traverse, edges
+/// and branch variables included — so the store's content-addressed
+/// cluster key and the recorded artifacts are byte-identical to what a
+/// cold run of the new epoch would produce — and dirtiness closes
+/// transitively over the partitions whose engines the FSCI oracle
+/// consults.
 pub fn diff_and_adopt(
     prev: &PartitionSnapshot,
     session: &Session<'_>,
@@ -210,6 +212,7 @@ fn cluster_class(origin: &ClusterOrigin) -> Option<ClassId> {
 fn build_units(session: &Session<'_>) -> BTreeMap<u64, Unit> {
     let program = session.program();
     let steens = session.steens();
+    let digests = session.digests();
     let mut units: BTreeMap<u64, Unit> = BTreeMap::new();
     let mut seen: HashSet<ClassId> = HashSet::new();
     let mut queue: VecDeque<(ClassId, bool)> = steens
@@ -220,68 +223,33 @@ fn build_units(session: &Session<'_>) -> BTreeMap<u64, Unit> {
     seen.extend(queue.iter().map(|(c, _)| *c));
 
     while let Some((class, dep_only)) = queue.pop_front() {
-        let members = unit_members(session, class);
+        let members = session.engine_members(class);
         if members.is_empty() {
             continue;
         }
-        let id = canonical_id(program, &members);
-        let rel = relevant_statements_indexed(program, steens, session.relevant_index(), &members);
-
-        // Close the slice's function set upward over the call graph: the
+        let id = canonical_id(program, members);
+        let rel = relevant_statements_indexed(program, steens, session.relevant_index(), members);
+        // The slice's functions closed upward over the call graph: the
         // climb visits callers, whose bodies feed the fingerprint.
-        let mut funcs: Vec<FuncId> = rel.funcs().collect();
-        let mut func_seen: HashSet<FuncId> = funcs.iter().copied().collect();
-        let mut i = 0;
-        while i < funcs.len() {
-            for caller_loc in session.callers_of(funcs[i]) {
-                if func_seen.insert(caller_loc.func) {
-                    funcs.push(caller_loc.func);
-                }
-            }
-            i += 1;
-        }
+        let funcs = modifying_functions(program, session.callgraph(), &rel);
 
         let mut h = FxHasher64::default();
         h.write_u64(u64::from(FORMAT_VERSION));
-        let mut names: Vec<&str> = members.iter().map(|&m| program.var(m).name()).collect();
-        names.sort_unstable();
-        h.write_u64(names.len() as u64);
-        for n in names {
-            hash_str(&mut h, n);
-        }
-        let mut slice_vars: Vec<(String, bool)> = rel
+        h.write_u64(id);
+        let mut slice_vars: Vec<(&str, bool)> = rel
             .vars()
             .map(|v| {
                 let info = program.var(v);
-                (info.name().to_string(), info.is_pointer())
+                (info.name(), info.is_pointer())
             })
             .collect();
-        slice_vars.sort();
+        slice_vars.sort_unstable();
         h.write_u64(slice_vars.len() as u64);
-        for (name, ptr) in &slice_vars {
+        for (name, ptr) in slice_vars {
             hash_str(&mut h, name);
-            h.write_u64(u64::from(*ptr));
+            h.write_u64(u64::from(ptr));
         }
-        let mut func_texts: Vec<String> = funcs
-            .iter()
-            .map(|&f| {
-                let func = program.func(f);
-                let mut text = format!("fn {}({})\n", func.name(), func.params().len());
-                for (loc, stmt) in func.locs() {
-                    text.push_str(&format!(
-                        "{}: {}\n",
-                        loc.stmt,
-                        stmt_to_string(program, stmt)
-                    ));
-                }
-                text
-            })
-            .collect();
-        func_texts.sort_unstable();
-        h.write_u64(func_texts.len() as u64);
-        for t in &func_texts {
-            hash_str(&mut h, t);
-        }
+        digests.write_sorted(&mut h, funcs.into_iter());
 
         // Oracle dependencies: the owner partitions of every slice var.
         let mut dep_classes: Vec<ClassId> = rel
@@ -293,11 +261,11 @@ fn build_units(session: &Session<'_>) -> BTreeMap<u64, Unit> {
         dep_classes.dedup();
         let mut deps = Vec::with_capacity(dep_classes.len());
         for dep in dep_classes {
-            let dep_members = unit_members(session, dep);
+            let dep_members = session.engine_members(dep);
             if dep_members.is_empty() {
                 continue;
             }
-            deps.push(canonical_id(program, &dep_members));
+            deps.push(canonical_id(program, dep_members));
             if seen.insert(dep) {
                 queue.push_back((dep, true));
             }
@@ -316,32 +284,11 @@ fn build_units(session: &Session<'_>) -> BTreeMap<u64, Unit> {
     units
 }
 
-/// The member set a partition's tiers answer over: the alias partition's
-/// pointers when it has any, else the raw Steensgaard class (mirrors the
-/// session's tier-member fallback).
-fn unit_members(session: &Session<'_>, class: ClassId) -> Vec<VarId> {
-    let members = session.partition_members(class);
-    if !members.is_empty() {
-        return members.to_vec();
-    }
-    session.steens().members(class).to_vec()
-}
-
 /// Epoch-stable partition identity: hash of the sorted member names.
 fn canonical_id(program: &Program, members: &[VarId]) -> u64 {
     let mut h = FxHasher64::default();
-    let mut names: Vec<&str> = members.iter().map(|&m| program.var(m).name()).collect();
-    names.sort_unstable();
-    h.write_u64(names.len() as u64);
-    for n in names {
-        hash_str(&mut h, n);
-    }
+    write_names(&mut h, program, members);
     h.finish()
-}
-
-fn hash_str(h: &mut FxHasher64, s: &str) {
-    h.write_u64(s.len() as u64);
-    h.write(s.as_bytes());
 }
 
 #[cfg(test)]

@@ -1,14 +1,14 @@
 //! Bridge between a [`Session`] and the content-addressed persistent
-//! store (`bootstrap-store`): key derivation, the relocatable payload
-//! codec, and the consult/publish protocol (DESIGN.md §12).
+//! store (`bootstrap-store`): function digests, key derivation, the
+//! payload codec, and the consult/publish protocol (DESIGN.md §12).
 //!
 //! The store crate owns the on-disk envelope; this module owns what goes
 //! inside it and how it is keyed:
 //!
 //! * **Key** — fxhash of (format version, result-affecting options, the
-//!   cluster's sorted member names, the sorted rendering of its
-//!   relevant-statement slice). Content-addressed: editing any relevant
-//!   statement moves the key, so stale entries are simply never found.
+//!   cluster's sorted member names, the sorted [`Digests`] of the
+//!   functions its relevant slice touches). Editing any of those
+//!   functions moves the key, so stale entries are simply never found.
 //! * **Payload** — name tables (IR variable and function names are
 //!   globally unique mangled strings, e.g. `func::name`, `heap@func:3`,
 //!   `&func`, so a name is a position-independent reference) followed by
@@ -30,7 +30,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::Hasher;
 use std::sync::Arc;
 
-use bootstrap_ir::{display::stmt_to_string, FuncId, Loc, Program, VarId};
+use bootstrap_ir::{display::stmt_to_string, FuncId, Function, Loc, Program, VarId};
 use bootstrap_store::codec::{Reader, Writer};
 use bootstrap_store::{FxHasher64, LoadOutcome, Store, StoreConfig, StoreCounters, FORMAT_VERSION};
 use parking_lot::RwLock;
@@ -46,7 +46,6 @@ use crate::summary::{Source, SummaryKey, Value};
 pub(crate) struct ClusterStore {
     store: Store,
     options_hash: u64,
-    program_hash: u64,
     /// Keys installed warm this run. A warm engine's recorded artifacts
     /// are a subset of the cold ones (queries answered from the store
     /// are not re-recorded), so publishing them back would shrink the
@@ -77,7 +76,7 @@ impl ClusterStore {
     /// Opens the session's store. `None` (persistence disabled) when the
     /// directory cannot be opened: a missing cache may cost time, never
     /// a run.
-    pub(crate) fn open(sc: StoreConfig, config: &Config, program: &Program) -> Option<Self> {
+    pub(crate) fn open(sc: StoreConfig, config: &Config) -> Option<Self> {
         let store = Store::open(sc).ok()?;
         // Phase-only match (ignoring any cluster scope): store consults
         // have no stable cluster slot to scope by.
@@ -87,7 +86,6 @@ impl ClusterStore {
         Some(ClusterStore {
             store,
             options_hash: options_hash(config),
-            program_hash: program_hash(program),
             hit_keys: RwLock::new(HashSet::new()),
             faulted,
             adoption: RwLock::new(None),
@@ -100,11 +98,6 @@ impl ClusterStore {
         *self.adoption.write() = Some(adoption);
     }
 
-    /// The whole-program hash computed when the store opened.
-    pub(crate) fn program_hash(&self) -> u64 {
-        self.program_hash
-    }
-
     /// This opening's hit/miss/invalidated counters.
     pub(crate) fn counters(&self) -> StoreCounters {
         self.store.counters()
@@ -114,40 +107,22 @@ impl ClusterStore {
     /// member name fails to round-trip through the program's name table
     /// (never the case for parsed or builder-made programs — names are
     /// mangled to be unique — but cheap to verify instead of trust).
-    fn cluster_key(&self, program: &Program, engine: &ClusterEngine) -> Option<u64> {
+    fn cluster_key(&self, session: &Session<'_>, engine: &ClusterEngine) -> Option<u64> {
+        let program = session.program();
+        let members = engine.members();
+        if members
+            .iter()
+            .any(|&m| program.var_named(program.var(m).name()) != Some(m))
+        {
+            return None;
+        }
         let mut h = FxHasher64::default();
         h.write_u64(u64::from(FORMAT_VERSION));
         h.write_u64(self.options_hash);
-        let mut names: Vec<&str> = Vec::with_capacity(engine.members().len());
-        for &m in engine.members() {
-            let name = program.var(m).name();
-            if program.var_named(name) != Some(m) {
-                return None;
-            }
-            names.push(name);
-        }
-        names.sort_unstable();
-        h.write_u64(names.len() as u64);
-        for n in names {
-            hash_str(&mut h, n);
-        }
-        let mut lines: Vec<String> = engine
-            .relevant()
-            .stmts()
-            .map(|loc| {
-                format!(
-                    "{}@{}: {}",
-                    program.func(loc.func).name(),
-                    loc.stmt,
-                    stmt_to_string(program, program.stmt_at(loc))
-                )
-            })
-            .collect();
-        lines.sort_unstable();
-        h.write_u64(lines.len() as u64);
-        for l in lines {
-            hash_str(&mut h, &l);
-        }
+        write_names(&mut h, program, members);
+        session
+            .digests()
+            .write_sorted(&mut h, engine.relevant().funcs());
         Some(h.finish())
     }
 
@@ -156,8 +131,7 @@ impl ClusterStore {
     /// shared FSCI cache. Called by the analyzer right after Algorithm 1
     /// builds the slice, before any solving.
     pub(crate) fn consult(&self, session: &Session<'_>, engine: &mut ClusterEngine) {
-        let program = session.program();
-        let Some(key) = self.cluster_key(program, engine) else {
+        let Some(key) = self.cluster_key(session, engine) else {
             return;
         };
         if self.faulted {
@@ -171,8 +145,9 @@ impl ClusterStore {
             } => (payload, program_hash),
             LoadOutcome::Miss | LoadOutcome::Invalidated => return,
         };
+        let program_hash = session.program_content_hash();
         let mut adopted = false;
-        if entry_program_hash != self.program_hash {
+        if entry_program_hash != program_hash {
             // A content-equal slice from a different program: the
             // summaries may have consulted FSCI facts that no longer
             // hold — unless the incremental differ proved every partition
@@ -184,7 +159,7 @@ impl ClusterStore {
                 return;
             }
         }
-        let Some(entry) = decode_payload(&payload, program) else {
+        let Some(entry) = decode_payload(&payload, session.program()) else {
             self.store.demote_hit();
             return;
         };
@@ -208,7 +183,7 @@ impl ClusterStore {
             // the next epoch can chain its own adoption from this one.
             let _ = self
                 .store
-                .save(key, self.options_hash, self.program_hash, &payload);
+                .save(key, self.options_hash, program_hash, &payload);
         }
         self.hit_keys.write().insert(key);
     }
@@ -240,8 +215,7 @@ impl ClusterStore {
     /// keys installed warm this run; overwrites invalidated entries with
     /// the forced recompute's results.
     pub(crate) fn publish(&self, session: &Session<'_>, engine: &ClusterEngine) {
-        let program = session.program();
-        let Some(key) = self.cluster_key(program, engine) else {
+        let Some(key) = self.cluster_key(session, engine) else {
             return;
         };
         if self.hit_keys.read().contains(&key) {
@@ -250,13 +224,85 @@ impl ClusterStore {
         let Some(payload) = encode_payload(session, engine) else {
             return;
         };
+        let program_hash = session.program_content_hash();
         let _ = self
             .store
-            .save(key, self.options_hash, self.program_hash, &payload);
+            .save(key, self.options_hash, program_hash, &payload);
     }
 }
 
-fn hash_str(h: &mut FxHasher64, s: &str) {
+/// The content digests of one program (DESIGN.md §12). A function's
+/// digest covers what the walks of Algorithms 2–5 and the §3 branch
+/// literals read: its name, parameter names and exit index, and per
+/// statement its text, successors and branch variable — not its source
+/// line, so a reformat keeps every digest.
+pub(crate) struct Digests {
+    /// Per function, indexed by [`FuncId`].
+    funcs: Vec<u64>,
+    /// The whole-program hash: the digests in function order.
+    pub(crate) program: u64,
+}
+
+impl Digests {
+    pub(crate) fn new(program: &Program) -> Self {
+        let funcs: Vec<u64> = program
+            .functions()
+            .map(|f| func_digest(program, f))
+            .collect();
+        let mut h = FxHasher64::default();
+        write_u64s(&mut h, funcs.iter().copied());
+        Digests {
+            program: h.finish(),
+            funcs,
+        }
+    }
+
+    /// Writes the sorted digests of `funcs` into `h`.
+    pub(crate) fn write_sorted(&self, h: &mut FxHasher64, funcs: impl Iterator<Item = FuncId>) {
+        let mut digests: Vec<u64> = funcs.map(|f| self.funcs[f.index()]).collect();
+        digests.sort_unstable();
+        write_u64s(h, digests.into_iter());
+    }
+}
+
+fn func_digest(program: &Program, func: &Function) -> u64 {
+    let mut h = FxHasher64::default();
+    hash_str(&mut h, func.name());
+    h.write_u64(func.params().len() as u64);
+    for &p in func.params() {
+        hash_str(&mut h, program.var(p).name());
+    }
+    h.write_u64(u64::from(func.exit().stmt));
+    h.write_u64(func.body().len() as u64);
+    for (loc, stmt) in func.locs() {
+        hash_str(&mut h, &stmt_to_string(program, stmt));
+        let succs = func.succs(loc.stmt).iter();
+        write_u64s(&mut h, succs.map(|&s| u64::from(s)));
+        // No variable has an empty name.
+        let cond = func.branch_cond(loc.stmt);
+        hash_str(&mut h, cond.map_or("", |v| program.var(v).name()));
+    }
+    h.finish()
+}
+
+fn write_u64s(h: &mut FxHasher64, xs: impl ExactSizeIterator<Item = u64>) {
+    h.write_u64(xs.len() as u64);
+    for x in xs {
+        h.write_u64(x);
+    }
+}
+
+/// Writes the sorted, count-prefixed names of `members` into `h`.
+pub(crate) fn write_names(h: &mut FxHasher64, program: &Program, members: &[VarId]) {
+    let mut names: Vec<&str> = members.iter().map(|&m| program.var(m).name()).collect();
+    names.sort_unstable();
+    h.write_u64(names.len() as u64);
+    for n in names {
+        hash_str(h, n);
+    }
+}
+
+pub(crate) fn hash_str(h: &mut FxHasher64, s: &str) {
     h.write_u64(s.len() as u64);
     h.write(s.as_bytes());
 }
@@ -274,13 +320,6 @@ fn options_hash(config: &Config) -> u64 {
     h.write_u64(config.query_step_budget);
     h.write_u64(u64::from(config.path_sensitive));
     h.write_u64(u64::from(config.interner_max_ids));
-    h.finish()
-}
-
-/// Whole-program hash: fxhash of the program's canonical rendering.
-pub(crate) fn program_hash(program: &Program) -> u64 {
-    let mut h = FxHasher64::default();
-    hash_str(&mut h, &program.to_string());
     h.finish()
 }
 
@@ -650,8 +689,45 @@ mod tests {
         assert_ne!(options_hash(&c1), options_hash(&c2));
         assert_eq!(options_hash(&c1), options_hash(&c1.clone()));
         let p2 = parse_program("int a; int *x; void main() { x = &a; }").unwrap();
-        assert_ne!(program_hash(&p), program_hash(&p2));
-        assert_eq!(program_hash(&p), program_hash(&p));
+        assert_ne!(Digests::new(&p).program, Digests::new(&p2).program);
+        assert_eq!(Digests::new(&p).program, Digests::new(&p).program);
+    }
+
+    /// `main`'s digest, the program hash and `main`'s statements.
+    fn main_digest(src: &str) -> (u64, u64, Vec<bootstrap_ir::Stmt>) {
+        let p = parse_program(src).unwrap();
+        let d = Digests::new(&p);
+        let main = p.func(p.func_named("main").unwrap());
+        (d.funcs[main.id().index()], d.program, main.body().to_vec())
+    }
+
+    #[test]
+    fn digests_cover_edges_and_branch_variables_but_not_lines() {
+        let globals = "int a; int b; int *x; int y;\n";
+        let base = main_digest(&format!(
+            "{globals}void main() {{ int c; int d; if (c) {{ x = NULL; }} x = &b; y = *x; if (c) {{ x = &a; }} }}"
+        ));
+        // The same statements, with `x = &b` moved into an else arm.
+        let edge = main_digest(&format!(
+            "{globals}void main() {{ int c; int d; if (c) {{ x = NULL; }} else {{ x = &b; }} y = *x; if (c) {{ x = &a; }} }}"
+        ));
+        // The same statements and edges, the second test on `d`.
+        let branch_var = main_digest(&format!(
+            "{globals}void main() {{ int c; int d; if (c) {{ x = NULL; }} x = &b; y = *x; if (d) {{ x = &a; }} }}"
+        ));
+        // The base program spread over more lines, with a comment.
+        let reformatted = main_digest(&format!(
+            "{globals}\n/* moved down */\nvoid main() {{\n  int c;\n  int d;\n  if (c) {{\n    x = NULL;\n  }}\n  x = &b;\n  y = *x;\n  if (c) {{ x = &a; }}\n}}\n"
+        ));
+        assert_eq!((&edge.2, &branch_var.2), (&base.2, &base.2));
+        assert_ne!(edge.0, base.0, "an edge-only edit must move the digest");
+        assert_ne!(edge.1, base.1);
+        assert_ne!(
+            branch_var.0, base.0,
+            "a branch-variable edit must move the digest"
+        );
+        assert_ne!(branch_var.1, base.1);
+        assert_eq!(reformatted, base, "source lines are not content");
     }
 
     #[test]

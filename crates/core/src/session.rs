@@ -16,7 +16,7 @@
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use bootstrap_analyses::{andersen, steensgaard, SteensgaardResult};
@@ -34,7 +34,7 @@ use crate::degrade::{
 use crate::engine::EngineCx;
 use crate::fsci_cache::{FsciCacheStats, SharedFsciCache};
 use crate::intern::{Interner, InternerStats};
-use crate::persist::ClusterStore;
+use crate::persist::{ClusterStore, Digests};
 use crate::profile::{Phase, PhaseProfile, PhaseSnapshot};
 use crate::relevant::{relevant_statements_indexed, RelevantIndex, RelevantSet};
 use crate::summary::Source;
@@ -225,6 +225,10 @@ pub struct Session<'p> {
     warm_queries: RwLock<HashMap<(VarId, Loc), Arc<QuerySources>>>,
     /// Cold full-precision answers recorded for the next publish.
     pending_queries: RwLock<HashMap<(VarId, Loc), QuerySources>>,
+    /// The program's content digests, computed on first use: store
+    /// consults and publishes and partition snapshots need them, a check
+    /// without a store does not.
+    digests: OnceLock<Digests>,
 }
 
 /// Cached tier-2 artifacts for one alias partition: the slice Andersen
@@ -276,7 +280,7 @@ impl<'p> Session<'p> {
         let store = config
             .store
             .clone()
-            .and_then(|sc| ClusterStore::open(sc, &config, program));
+            .and_then(|sc| ClusterStore::open(sc, &config));
         Self {
             program,
             config,
@@ -299,6 +303,7 @@ impl<'p> Session<'p> {
             store,
             warm_queries: RwLock::new(HashMap::new()),
             pending_queries: RwLock::new(HashMap::new()),
+            digests: OnceLock::new(),
         }
     }
 
@@ -448,16 +453,11 @@ impl<'p> Session<'p> {
     /// of `p` (every pointer that could share update sequences with it),
     /// falling back to `p`'s value class, then to `p` alone.
     fn tier_members(&self, p: VarId) -> Vec<VarId> {
-        let key = self.steens.partition_key(p);
-        let members = self.partition_members(key);
-        if !members.is_empty() {
-            return members.to_vec();
-        }
-        let class = self.steens.members(key);
-        if class.is_empty() {
+        let members = self.engine_members(self.steens.partition_key(p));
+        if members.is_empty() {
             vec![p]
         } else {
-            class.to_vec()
+            members.to_vec()
         }
     }
 
@@ -553,14 +553,15 @@ impl<'p> Session<'p> {
     }
 
     /// Whole-program content hash — the persistent store's cross-run
-    /// validity gate. Stable across sessions over identical program text.
-    /// With a store open it is the hash the store took when it opened;
-    /// without one, the program is rendered and hashed on each call.
+    /// validity gate: the function digests in function order. Stable
+    /// across sessions over programs that differ only in source lines.
     pub fn program_content_hash(&self) -> u64 {
-        match &self.store {
-            Some(store) => store.program_hash(),
-            None => crate::persist::program_hash(self.program),
-        }
+        self.digests().program
+    }
+
+    /// The program's per-function content digests (DESIGN.md §12).
+    pub(crate) fn digests(&self) -> &Digests {
+        self.digests.get_or_init(|| Digests::new(self.program))
     }
 
     /// Arms cross-epoch store adoption: persisted entries recorded under
@@ -698,6 +699,16 @@ impl<'p> Session<'p> {
             .get(&key)
             .map(Vec::as_slice)
             .unwrap_or(&[])
+    }
+
+    /// The members the engine of partition `key` answers over: the alias
+    /// partition's pointers, or, for a class without pointers (a
+    /// non-pointer or synthetic location), the raw Steensgaard class.
+    pub(crate) fn engine_members(&self, key: bootstrap_analyses::ClassId) -> &[VarId] {
+        match self.partition_members(key) {
+            [] => self.steens.members(key),
+            members => members,
+        }
     }
 
     /// The pure Steensgaard cover: one cluster per alias partition

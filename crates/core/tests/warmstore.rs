@@ -9,9 +9,10 @@ use std::path::{Path, PathBuf};
 
 use bootstrap_core::parallel::process_clusters_parallel;
 use bootstrap_core::{
-    Config, FaultKind, FaultPhase, FaultPlan, LadderAnswer, Precision, Session, StoreConfig,
+    diff_and_adopt, snapshot, Config, FaultKind, FaultPhase, FaultPlan, LadderAnswer, Precision,
+    Session, Source, StoreConfig,
 };
-use bootstrap_ir::{parse_program, VarId};
+use bootstrap_ir::{parse_program, Loc, Stmt, VarId};
 
 /// A program big enough that summaries, interprocedural splicing and the
 /// FSCI oracle all do real work: pointer chains through an identity
@@ -404,5 +405,86 @@ fn findings_stay_identical_when_program_actually_changes() {
             .any(|(src, _)| matches!(src, bootstrap_core::Source::Addr(o) if *o == a4)),
         "answers must reflect the edited program"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The location of `main`'s only load, `y = *x`.
+fn deref_loc(program: &bootstrap_ir::Program) -> Loc {
+    let main = program.func(program.func_named("main").unwrap());
+    main.locs()
+        .find(|(_, s)| matches!(s, Stmt::Load { .. }))
+        .map(|(loc, _)| loc)
+        .unwrap()
+}
+
+#[test]
+fn an_edge_only_edit_dirties_its_partition_and_answers_like_a_cold_run() {
+    // Both programs have the same six statements; the edit only moves
+    // `x = &b` into an else arm, so `x` may be NULL at the dereference.
+    let before = "int b; int c; int *x; int y;
+        void main() { if (c) { x = NULL; } x = &b; y = *x; }";
+    let after = "int b; int c; int *x; int y;
+        void main() { if (c) { x = NULL; } else { x = &b; } y = *x; }";
+    let p1 = parse_program(before).unwrap();
+    let p2 = parse_program(after).unwrap();
+    let dir = temp_dir("edge_edit");
+    let prev = {
+        let s = Session::new(&p1, config_with_store(&dir));
+        let az = s.analyzer();
+        let _ = s.query_at_loc(&az, p1.var_named("x").unwrap(), deref_loc(&p1));
+        az.publish_store();
+        snapshot(&s)
+    };
+
+    let s = Session::new(&p2, config_with_store(&dir));
+    let (report, _) = diff_and_adopt(&prev, &s);
+    let x = p2.var_named("x").unwrap();
+    let warm = s.query_at_loc(&s.analyzer(), x, deref_loc(&p2));
+    let cold_session = Session::new(&p2, Config::default());
+    let cold = cold_session.query_at_loc(&cold_session.analyzer(), x, deref_loc(&p2));
+    assert_eq!(warm.sources, cold.sources);
+    assert!(cold.sources.iter().any(|(src, _)| *src == Source::Null));
+    assert_eq!(
+        report.dirty_partitions, report.total_partitions,
+        "{report:?}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_branch_variable_edit_misses_the_store_under_path_sensitivity() {
+    // Changing the second `if (c)` into `if (d)` keeps every statement
+    // and edge; only the tested variable moves, and with it the branch
+    // literals `t`'s sources are conditioned on.
+    let source = |second: &str| {
+        format!(
+            "int a; int b; int *x;
+             void main() {{ int c; int d; int *t;
+               if (c) {{ t = &a; }} else {{ t = &b; }}
+               if ({second}) {{ x = t; }} else {{ x = t; }} }}"
+        )
+    };
+    let p1 = parse_program(&source("c")).unwrap();
+    let p2 = parse_program(&source("d")).unwrap();
+    let dir = temp_dir("branch_var");
+    let path_sensitive = Config {
+        path_sensitive: true,
+        ..Config::default()
+    };
+    let with_store = Config {
+        store: Some(StoreConfig::new(&dir)),
+        ..path_sensitive.clone()
+    };
+    let before = query_all(&Session::new(&p1, with_store.clone()));
+    let warm = query_all(&Session::new(&p2, with_store));
+    let cold = query_all(&Session::new(&p2, path_sensitive));
+    assert_same_answers(&cold, &warm);
+    for (answers, n) in [(&before, 2), (&cold, 4)] {
+        let (_, x) = answers
+            .iter()
+            .find(|(v, _)| *v == p2.var_named("x").unwrap())
+            .unwrap();
+        assert_eq!(x.sources.len(), n, "{:?}", x.sources);
+    }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -20,18 +20,23 @@ use bootstrap_core::{Config, Session};
 use bootstrap_daemon::{serve, ServeOptions, Workspace};
 
 /// Number of textual variants per fixture file.
-pub const VARIANTS: u64 = 4;
+pub const VARIANTS: u64 = 6;
 
-/// One variant of a file-local pointer network. `v0`/`v3` are clean,
-/// `v1` is an unconditional null dereference, `v2` a branch-dependent
-/// one — so edits move findings in and out of the report.
+/// One variant of a file-local pointer network. `v0`/`v3`/`v4` are
+/// clean, `v1` is an unconditional null dereference, `v2`/`v5`
+/// branch-dependent ones — so edits move findings in and out of the
+/// report. `v4` and `v5` have the same statements and differ only in
+/// their edges (`v5` puts the assignment in an else arm), so an edit
+/// between them changes no statement text.
 pub fn variant(prefix: &str, v: u64) -> String {
     let p = prefix;
     let body = match v % VARIANTS {
         0 => format!("{p}p = {p}id(&{p}a); {p}x = *{p}p;"),
         1 => format!("{p}p = NULL; {p}x = *{p}p;"),
         2 => format!("if ({p}c) {{ {p}p = &{p}a; }} else {{ {p}p = NULL; }} {p}x = *{p}p;"),
-        _ => format!("{p}q = &{p}b; {p}p = {p}id({p}q); {p}x = *{p}p;"),
+        3 => format!("{p}q = &{p}b; {p}p = {p}id({p}q); {p}x = *{p}p;"),
+        4 => format!("if ({p}c) {{ {p}p = NULL; }} {p}p = &{p}a; {p}x = *{p}p;"),
+        _ => format!("if ({p}c) {{ {p}p = NULL; }} else {{ {p}p = &{p}a; }} {p}x = *{p}p;"),
     };
     format!(
         "int {p}a; int {p}b; int {p}c; int {p}x;\n\

@@ -46,7 +46,6 @@ struct BuiltBody {
     stmts: Vec<Stmt>,
     succs: Vec<Vec<StmtIdx>>,
     exit: StmtIdx,
-    branch_conds: Vec<(StmtIdx, VarId)>,
 }
 
 impl ProgramBuilder {
@@ -121,7 +120,6 @@ impl ProgramBuilder {
             local_counter: 0,
             if_stack: Vec::new(),
             loop_stack: Vec::new(),
-            branch_conds: Vec::new(),
         }
     }
 
@@ -134,9 +132,8 @@ impl ProgramBuilder {
                 stmts: vec![Stmt::Skip, Stmt::Skip],
                 succs: vec![vec![1], vec![]],
                 exit: 1,
-                branch_conds: Vec::new(),
             });
-            let mut func = Function::new(
+            self.prog.add_function(Function::new(
                 fid,
                 pf.name,
                 pf.params,
@@ -144,11 +141,7 @@ impl ProgramBuilder {
                 built.stmts,
                 built.succs,
                 built.exit,
-            );
-            for (idx, v) in built.branch_conds {
-                func.set_branch_cond(idx, v);
-            }
-            self.prog.add_function(func);
+            ));
         }
         if self.prog.entry().is_none() && self.prog.func_count() > 0 {
             self.prog.set_entry(FuncId::new(0));
@@ -171,7 +164,6 @@ pub struct FuncBodyBuilder<'a> {
     local_counter: u32,
     if_stack: Vec<(StmtIdx, Vec<StmtIdx>)>,
     loop_stack: Vec<StmtIdx>,
-    branch_conds: Vec<(StmtIdx, VarId)>,
 }
 
 impl FuncBodyBuilder<'_> {
@@ -325,18 +317,6 @@ impl FuncBodyBuilder<'_> {
         self.emit(Stmt::Unlock { m })
     }
 
-    /// Emits an indirect call through `fp` (resolved later by
-    /// [`Program::devirtualize`]).
-    pub fn indirect_call(&mut self, fp: VarId, args: &[VarId], ret_into: Option<VarId>) {
-        let site = self.pb.prog.fresh_call_site();
-        self.emit(Stmt::Call(CallStmt {
-            target: CallTarget::Indirect(fp),
-            site,
-            args: args.to_vec(),
-            ret: ret_into,
-        }));
-    }
-
     /// Emits `return` (after copying `value` into the return variable, if
     /// given).
     pub fn ret(&mut self, value: Option<VarId>) {
@@ -353,14 +333,6 @@ impl FuncBodyBuilder<'_> {
     /// [`FuncBodyBuilder::end_if`] to join.
     pub fn begin_if(&mut self) {
         let branch = self.emit(Stmt::Skip);
-        self.if_stack.push((branch, Vec::new()));
-    }
-
-    /// Like [`FuncBodyBuilder::begin_if`], but records `cond` as the tested
-    /// variable (successor 0 = true arm) for the path-sensitive mode.
-    pub fn begin_if_on(&mut self, cond: VarId) {
-        let branch = self.emit(Stmt::Skip);
-        self.branch_conds.push((branch, cond));
         self.if_stack.push((branch, Vec::new()));
     }
 
@@ -428,7 +400,6 @@ impl FuncBodyBuilder<'_> {
             stmts: self.stmts,
             succs: self.succs,
             exit,
-            branch_conds: self.branch_conds,
         });
     }
 }
