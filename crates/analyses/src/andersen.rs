@@ -218,18 +218,6 @@ pub struct SolverStats {
     /// occurrences of a seed/copy/load/store already in the system (loop
     /// bodies and unrolled communities repeat the same four-form facts).
     pub dup_constraints: usize,
-    /// Indirect call sites resolved by the function-pointer ladder before
-    /// this solve (0 when the program had none). Filled in by the pipeline
-    /// from [`crate::fpresolve::FpResolution`], not by the solver itself.
-    pub fp_sites: usize,
-    /// Call edges installed by the selected resolver stage.
-    pub fp_edges: usize,
-    /// Candidate call edges at the FLTA (arity-only) stage.
-    pub fp_edges_flta: usize,
-    /// Candidate call edges at the MLTA (field-type) stage.
-    pub fp_edges_mlta: usize,
-    /// Candidate call edges at the points-to stage.
-    pub fp_edges_pts: usize,
 }
 
 impl SolverStats {
@@ -244,20 +232,6 @@ impl SolverStats {
         self.wave_rounds += other.wave_rounds;
         self.edges_pruned += other.edges_pruned;
         self.dup_constraints += other.dup_constraints;
-        self.fp_sites += other.fp_sites;
-        self.fp_edges += other.fp_edges;
-        self.fp_edges_flta += other.fp_edges_flta;
-        self.fp_edges_mlta += other.fp_edges_mlta;
-        self.fp_edges_pts += other.fp_edges_pts;
-    }
-
-    /// Records a resolver run's call-graph counters into these stats.
-    pub fn record_fp(&mut self, r: &crate::fpresolve::FpResolution) {
-        self.fp_sites += r.sites;
-        self.fp_edges += r.edges;
-        self.fp_edges_flta += r.edges_flta;
-        self.fp_edges_mlta += r.edges_mlta;
-        self.fp_edges_pts += r.edges_pts;
     }
 }
 
@@ -514,7 +488,6 @@ impl Solver {
             wave_rounds: self.wave_rounds,
             edges_pruned: self.edges_pruned,
             dup_constraints: self.dup_constraints,
-            ..SolverStats::default()
         }
     }
 

@@ -28,6 +28,8 @@
 
 use std::time::{Duration, Instant};
 
+use bootstrap_bench::write_bench_json;
+use bootstrap_client::Json;
 use bootstrap_core::{
     AnalysisBudget, ClusterEngine, Config, EngineCx, EngineOptions, NoOracle, Session,
 };
@@ -166,44 +168,6 @@ fn hub_cycle_config() -> GenConfig {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn write_json(rows: &[Row]) -> std::io::Result<String> {
-    let mut out = String::new();
-    out.push_str("{\n  \"engine\": \"fscs\",\n  \"compare\": \"interned-vs-uninterned\",\n");
-    out.push_str(&format!(
-        "  \"unit\": \"seconds\",\n  \"budget_steps\": {BUDGET_STEPS},\n  \"workloads\": [\n"
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"label\": \"{}\", \"cluster_size\": {}, \"relevant_stmts\": {}, ",
-                "\"path_sensitive\": {}, \"uninterned_secs\": {:.6}, \"interned_secs\": {:.6}, ",
-                "\"speedup\": {:.2}, \"steps\": {}, \"budget_hit\": {}, ",
-                "\"interned_conds\": {}, \"interner_hits\": {}}}{}\n"
-            ),
-            json_escape(&r.label),
-            r.cluster_size,
-            r.relevant_stmts,
-            r.path_sensitive,
-            r.uninterned.as_secs_f64(),
-            r.interned.as_secs_f64(),
-            r.speedup(),
-            r.steps,
-            r.budget_hit,
-            r.conds,
-            r.hits,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fscs.json");
-    std::fs::write(path, out)?;
-    Ok(path.to_string())
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let samples = if quick { 1 } else { 3 };
@@ -293,8 +257,29 @@ fn main() {
             r.hits,
         );
     }
-    match write_json(&rows) {
-        Ok(path) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write BENCH_fscs.json: {e}"),
-    }
+    let workloads = rows.iter().map(|r| {
+        Json::obj([
+            ("label", Json::str(&r.label)),
+            ("cluster_size", Json::int(r.cluster_size)),
+            ("relevant_stmts", Json::int(r.relevant_stmts)),
+            ("path_sensitive", Json::Bool(r.path_sensitive)),
+            ("uninterned_secs", Json::Num(r.uninterned.as_secs_f64())),
+            ("interned_secs", Json::Num(r.interned.as_secs_f64())),
+            ("speedup", Json::Num(r.speedup())),
+            ("steps", Json::int(r.steps)),
+            ("budget_hit", Json::Bool(r.budget_hit)),
+            ("interned_conds", Json::int(r.conds)),
+            ("interner_hits", Json::int(r.hits)),
+        ])
+    });
+    write_bench_json(
+        "fscs",
+        &Json::obj([
+            ("engine", Json::str("fscs")),
+            ("compare", Json::str("interned-vs-uninterned")),
+            ("unit", Json::str("seconds")),
+            ("budget_steps", Json::int(BUDGET_STEPS)),
+            ("workloads", Json::Arr(workloads.collect())),
+        ]),
+    );
 }

@@ -18,6 +18,8 @@
 
 use std::time::Duration;
 
+use bootstrap_bench::write_bench_json;
+use bootstrap_client::Json;
 use bootstrap_core::parallel::{
     greedy_bins, process_clusters, process_clusters_parallel_with_stats, steal_schedule, timed,
 };
@@ -37,46 +39,6 @@ struct Row {
     model_makespan: Duration,
     model_speedup: f64,
     static_makespan: Duration,
-}
-
-fn json(preset: &str, cores: usize, n_clusters: usize, serial: Duration, rows: &[Row]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        concat!(
-            "  \"preset\": \"{}\",\n  \"scheduler\": \"work-stealing\",\n",
-            "  \"unit\": \"seconds\",\n  \"cores\": {},\n  \"clusters\": {},\n",
-            "  \"serial_secs\": {:.6},\n",
-            "  \"note\": \"model_* columns are the deterministic LPT ",
-            "list-schedule model over measured per-cluster durations; ",
-            "live_* columns depend on the cores actually present\",\n",
-            "  \"threads\": [\n"
-        ),
-        preset,
-        cores,
-        n_clusters,
-        serial.as_secs_f64(),
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"threads\": {}, \"live_wall_secs\": {:.6}, ",
-                "\"live_steals\": {}, \"utilization\": {:.3}, ",
-                "\"model_makespan_secs\": {:.6}, \"model_speedup\": {:.2}, ",
-                "\"static_bin_makespan_secs\": {:.6}}}{}\n"
-            ),
-            r.threads,
-            r.live_wall.as_secs_f64(),
-            r.live_steals,
-            r.utilization,
-            r.model_makespan.as_secs_f64(),
-            r.model_speedup,
-            r.static_makespan.as_secs_f64(),
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 fn main() {
@@ -157,10 +119,32 @@ fn main() {
         });
     }
 
-    let out = json(name, cores, clusters.len(), serial_wall, &rows);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
-    match std::fs::write(path, out) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write BENCH_parallel.json: {e}"),
-    }
+    let secs = |d: Duration| Json::Num(d.as_secs_f64());
+    let threads = rows.iter().map(|r| {
+        Json::obj([
+            ("threads", Json::int(r.threads)),
+            ("live_wall_secs", secs(r.live_wall)),
+            ("live_steals", Json::int(r.live_steals)),
+            ("utilization", Json::Num(r.utilization)),
+            ("model_makespan_secs", secs(r.model_makespan)),
+            ("model_speedup", Json::Num(r.model_speedup)),
+            ("static_bin_makespan_secs", secs(r.static_makespan)),
+        ])
+    });
+    let note = "model_* columns are the deterministic LPT list-schedule model over \
+                measured per-cluster durations; live_* columns depend on the cores \
+                actually present";
+    write_bench_json(
+        "parallel",
+        &Json::obj([
+            ("preset", Json::str(name)),
+            ("scheduler", Json::str("work-stealing")),
+            ("unit", Json::str("seconds")),
+            ("cores", Json::int(cores)),
+            ("clusters", Json::int(clusters.len())),
+            ("serial_secs", secs(serial_wall)),
+            ("note", Json::str(note)),
+            ("threads", Json::Arr(threads.collect())),
+        ]),
+    );
 }

@@ -15,6 +15,8 @@ use std::time::{Duration, Instant};
 
 use bootstrap_analyses::andersen::{self, SolverOptions, SolverStats};
 use bootstrap_analyses::steensgaard;
+use bootstrap_bench::write_bench_json;
+use bootstrap_client::Json;
 use bootstrap_core::relevant::relevant_statements;
 use bootstrap_ir::{Stmt, VarId};
 use bootstrap_workloads::presets;
@@ -144,61 +146,6 @@ fn measure(label: &str, n_vars: usize, stmts: &[Stmt], samples: usize) -> Measur
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn write_json(preset_name: &str, rows: &[Measurement]) -> std::io::Result<String> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"preset\": \"{}\",\n  \"solver\": \"andersen\",\n  \"unit\": \"seconds\",\n  \"workloads\": [\n",
-        json_escape(preset_name)
-    ));
-    for (i, m) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"label\": \"{}\", \"vars\": {}, \"stmts\": {}, ",
-                "\"naive_secs\": {:.6}, \"delta_secs\": {:.6}, \"speedup\": {:.2}, ",
-                "\"naive_solve_secs\": {:.6}, \"delta_solve_secs\": {:.6}, ",
-                "\"solve_speedup\": {:.2}, ",
-                "\"naive_build_secs\": {:.6}, \"delta_build_secs\": {:.6}, ",
-                "\"dup_constraints\": {}, ",
-                "\"naive_pops\": {}, \"delta_pops\": {}, \"delta_stale_pops\": {}, ",
-                "\"naive_edges\": {}, \"delta_edges\": {}, ",
-                "\"delta_sccs_offline\": {}, \"delta_sccs_online\": {}, ",
-                "\"delta_wave_rounds\": {}, \"delta_edges_pruned\": {}}}{}\n"
-            ),
-            json_escape(&m.label),
-            m.n_vars,
-            m.n_stmts,
-            m.naive.as_secs_f64(),
-            m.delta.as_secs_f64(),
-            m.speedup(),
-            m.naive_solve.as_secs_f64(),
-            m.delta_solve.as_secs_f64(),
-            m.solve_speedup(),
-            m.naive_build.as_secs_f64(),
-            m.delta_build.as_secs_f64(),
-            m.delta_stats.dup_constraints,
-            m.naive_stats.pops,
-            m.delta_stats.pops,
-            m.delta_stats.stale_pops,
-            m.naive_stats.edges,
-            m.delta_stats.edges,
-            m.delta_stats.sccs_offline,
-            m.delta_stats.sccs_online,
-            m.delta_stats.wave_rounds,
-            m.delta_stats.edges_pruned,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_andersen.json");
-    std::fs::write(path, out)?;
-    Ok(path.to_string())
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let samples = if quick { 1 } else { 9 };
@@ -259,8 +206,39 @@ fn main() {
             m.solve_speedup()
         );
     }
-    match write_json(name, &rows) {
-        Ok(path) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write BENCH_andersen.json: {e}"),
-    }
+    let secs = |d: Duration| Json::Num(d.as_secs_f64());
+    let workloads = rows.iter().map(|m| {
+        Json::obj([
+            ("label", Json::str(&m.label)),
+            ("vars", Json::int(m.n_vars)),
+            ("stmts", Json::int(m.n_stmts)),
+            ("naive_secs", secs(m.naive)),
+            ("delta_secs", secs(m.delta)),
+            ("speedup", Json::Num(m.speedup())),
+            ("naive_solve_secs", secs(m.naive_solve)),
+            ("delta_solve_secs", secs(m.delta_solve)),
+            ("solve_speedup", Json::Num(m.solve_speedup())),
+            ("naive_build_secs", secs(m.naive_build)),
+            ("delta_build_secs", secs(m.delta_build)),
+            ("dup_constraints", Json::int(m.delta_stats.dup_constraints)),
+            ("naive_pops", Json::int(m.naive_stats.pops)),
+            ("delta_pops", Json::int(m.delta_stats.pops)),
+            ("delta_stale_pops", Json::int(m.delta_stats.stale_pops)),
+            ("naive_edges", Json::int(m.naive_stats.edges)),
+            ("delta_edges", Json::int(m.delta_stats.edges)),
+            ("delta_sccs_offline", Json::int(m.delta_stats.sccs_offline)),
+            ("delta_sccs_online", Json::int(m.delta_stats.sccs_online)),
+            ("delta_wave_rounds", Json::int(m.delta_stats.wave_rounds)),
+            ("delta_edges_pruned", Json::int(m.delta_stats.edges_pruned)),
+        ])
+    });
+    write_bench_json(
+        "andersen",
+        &Json::obj([
+            ("preset", Json::str(name)),
+            ("solver", Json::str("andersen")),
+            ("unit", Json::str("seconds")),
+            ("workloads", Json::Arr(workloads.collect())),
+        ]),
+    );
 }

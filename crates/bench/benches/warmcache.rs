@@ -25,9 +25,11 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use bootstrap_bench::write_bench_json;
 use bootstrap_checks::{run_checks, CheckReport, CheckerKind};
+use bootstrap_client::Json;
 use bootstrap_core::parallel::process_clusters_parallel;
-use bootstrap_core::{Config, PhaseSnapshot, Session, StoreConfig};
+use bootstrap_core::{Config, Session, StoreConfig};
 use bootstrap_ir::Program;
 use bootstrap_workloads::generator::{self, BigPartition, GenConfig};
 use bootstrap_workloads::presets;
@@ -211,67 +213,6 @@ fn hub_cycle_config() -> GenConfig {
     }
 }
 
-fn phases_json(p: &PhaseSnapshot) -> String {
-    let mut out = String::from("[");
-    for (i, (phase, stats)) in p.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"phase\": \"{}\", \"wall_secs\": {:.6}, \"steps\": {}}}",
-            phase.name(),
-            stats.wall.as_secs_f64(),
-            stats.steps
-        ));
-    }
-    out.push(']');
-    out
-}
-
-fn write_json(rows: &[Row]) -> std::io::Result<String> {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"warmcache\",\n  \"compare\": \"cold-vs-warm-check\",\n");
-    out.push_str("  \"unit\": \"seconds\",\n  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"label\": \"{}\", \"pointers\": {}, \"clusters\": {}, ",
-                "\"findings\": {}, \"cold_secs\": {:.6}, \"warm_secs\": {:.6}, ",
-                "\"speedup\": {:.2}, \"fscs_step_skip\": {:.4}, ",
-                "\"threads_identical\": {}, ",
-                "\"store\": {{\"entries\": {}, \"bytes\": {}, ",
-                "\"cold\": {{\"hits\": {}, \"misses\": {}, \"invalidated\": {}}}, ",
-                "\"warm\": {{\"hits\": {}, \"misses\": {}, \"invalidated\": {}}}}}, ",
-                "\"cold_phases\": {}, \"warm_phases\": {}}}{}\n"
-            ),
-            r.label,
-            r.pointers,
-            r.clusters,
-            r.findings,
-            r.cold.as_secs_f64(),
-            r.warm.as_secs_f64(),
-            r.speedup(),
-            r.fscs_skip(),
-            r.threads_identical,
-            r.store_entries,
-            r.store_bytes,
-            r.cold_report.store.hits,
-            r.cold_report.store.misses,
-            r.cold_report.store.invalidated,
-            r.warm_report.store.hits,
-            r.warm_report.store.misses,
-            r.warm_report.store.invalidated,
-            phases_json(&r.cold_report.phases),
-            phases_json(&r.warm_report.phases),
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_warmcache.json");
-    std::fs::write(path, out)?;
-    Ok(path.to_string())
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let samples = if quick { 1 } else { 3 };
@@ -314,8 +255,54 @@ fn main() {
             r.threads_identical,
         );
     }
-    match write_json(&rows) {
-        Ok(path) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write BENCH_warmcache.json: {e}"),
-    }
+    let store = |r: &CheckReport| {
+        Json::obj([
+            ("hits", Json::int(r.store.hits)),
+            ("misses", Json::int(r.store.misses)),
+            ("invalidated", Json::int(r.store.invalidated)),
+        ])
+    };
+    let phases = |r: &CheckReport| {
+        let phases = r.phases.iter().map(|(phase, stats)| {
+            Json::obj([
+                ("phase", Json::str(phase.name())),
+                ("wall_secs", Json::Num(stats.wall.as_secs_f64())),
+                ("steps", Json::int(stats.steps)),
+            ])
+        });
+        Json::Arr(phases.collect())
+    };
+    let workloads = rows.iter().map(|r| {
+        Json::obj([
+            ("label", Json::str(&r.label)),
+            ("pointers", Json::int(r.pointers)),
+            ("clusters", Json::int(r.clusters)),
+            ("findings", Json::int(r.findings)),
+            ("cold_secs", Json::Num(r.cold.as_secs_f64())),
+            ("warm_secs", Json::Num(r.warm.as_secs_f64())),
+            ("speedup", Json::Num(r.speedup())),
+            ("fscs_step_skip", Json::Num(r.fscs_skip())),
+            ("threads_identical", Json::Bool(r.threads_identical)),
+            (
+                "store",
+                Json::obj([
+                    ("entries", Json::int(r.store_entries)),
+                    ("bytes", Json::int(r.store_bytes)),
+                    ("cold", store(&r.cold_report)),
+                    ("warm", store(&r.warm_report)),
+                ]),
+            ),
+            ("cold_phases", phases(&r.cold_report)),
+            ("warm_phases", phases(&r.warm_report)),
+        ])
+    });
+    write_bench_json(
+        "warmcache",
+        &Json::obj([
+            ("bench", Json::str("warmcache")),
+            ("compare", Json::str("cold-vs-warm-check")),
+            ("unit", Json::str("seconds")),
+            ("workloads", Json::Arr(workloads.collect())),
+        ]),
+    );
 }

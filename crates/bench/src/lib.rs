@@ -7,6 +7,7 @@
 
 use std::time::Duration;
 
+use bootstrap_client::Json;
 use bootstrap_core::{parallel, Config, Session};
 use bootstrap_workloads::presets::Preset;
 
@@ -160,6 +161,16 @@ pub fn fmt_baseline(d: Option<Duration>, cap: Duration) -> String {
     match d {
         Some(d) => fmt_secs(d),
         None => format!("> {}", fmt_secs(cap)),
+    }
+}
+
+/// Writes `doc`, indented, to `BENCH_<name>.json` at the repository root
+/// and prints where it went, or why it could not be written.
+pub fn write_bench_json(name: &str, doc: &Json) {
+    let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+    match std::fs::write(&path, format!("{doc:#}\n")) {
+        Ok(()) => println!("wrote {path}"),
+        Err(e) => eprintln!("failed to write {path}: {e}"),
     }
 }
 

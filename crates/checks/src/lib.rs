@@ -41,9 +41,7 @@ use bootstrap_core::{
 use bootstrap_ir::{Loc, Program, Stmt, VarId, VarKind};
 
 pub use order::reachable_after;
-pub use report::{
-    interner_occupancy, render_json, render_json_counters, render_json_phases, render_text,
-};
+pub use report::render_text;
 
 /// The individual checkers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -270,19 +270,6 @@ fn findings_carry_source_lines() {
 }
 
 #[test]
-fn json_output_is_well_formed() {
-    let r = check(
-        "int *p; int x;
-         void main() { p = NULL; x = *p; }",
-    );
-    let json = bootstrap_checks::render_json(&r, Some("bug.c"));
-    assert!(json.contains("\"checker\": \"null-deref\""));
-    assert!(json.contains("\"severity\": \"error\""));
-    assert!(json.contains("\"fsci_cache\""));
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
-}
-
-#[test]
 fn checker_kind_parsing() {
     assert_eq!(CheckerKind::parse("uaf"), Some(CheckerKind::UseAfterFree));
     assert_eq!(

@@ -165,15 +165,11 @@ fn private_heap_per_thread_is_clean() {
 }
 
 #[test]
-fn race_findings_render_in_text_and_json() {
+fn race_findings_render_in_text() {
     let r = check(RACY_COUNTER);
     let text = bootstrap_checks::render_text(&r, Some("racy.c"));
     assert!(text.contains("[race]"), "text: {text}");
     assert!(text.contains("races with"), "text: {text}");
-    let json = bootstrap_checks::render_json(&r, Some("racy.c"));
-    assert!(json.contains("\"checker\": \"race\""), "json: {json}");
-    assert!(json.contains("\"object\": \"counter\""), "json: {json}");
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
 }
 
 #[test]

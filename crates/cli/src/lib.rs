@@ -50,8 +50,9 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use bootstrap_analyses::{fpresolve, steensgaard, FpResolution, FpResolver};
-use bootstrap_checks::CheckerKind;
-use bootstrap_core::{AnalysisBudget, Config, Outcome, Session};
+use bootstrap_checks::{CheckReport, CheckerKind};
+use bootstrap_client::Json;
+use bootstrap_core::{AnalysisBudget, Config, InternerStats, Outcome, Session};
 use bootstrap_ir::{CallGraph, Loc, Program, VarId, VarKind};
 
 /// A CLI error: bad usage or a failed analysis.
@@ -586,7 +587,36 @@ fn cmd_check(program: &Program, opts: &Opts, fp: FpResolution) -> Result<CliOutp
     let report = bootstrap_checks::run_checks(&session, &kinds);
 
     let text = match opts.format.as_deref() {
-        Some("json") => bootstrap_checks::render_json(&report, Some(&opts.file)),
+        Some("json") => {
+            let findings = report.findings.iter().map(|f| {
+                Json::obj([
+                    ("checker", Json::str(f.checker.name())),
+                    ("severity", Json::str(f.severity.label())),
+                    ("file", Json::str(&opts.file)),
+                    ("function", Json::str(&f.func)),
+                    ("line", f.line.map_or(Json::Null, Json::int)),
+                    ("stmt", Json::int(f.loc.stmt)),
+                    ("var", Json::str(&f.var)),
+                    ("object", f.object.as_deref().map_or(Json::Null, Json::str)),
+                    ("message", Json::str(&f.message)),
+                    ("precision", Json::str(f.precision.label())),
+                ])
+            });
+            let stats = report.stats.iter().map(|s| {
+                Json::obj([
+                    ("checker", Json::str(s.kind.name())),
+                    ("sites", Json::int(s.sites)),
+                    ("queries", Json::int(s.queries)),
+                    ("findings", Json::int(s.findings)),
+                ])
+            });
+            let mut members = vec![
+                ("findings", Json::Arr(findings.collect())),
+                ("stats", Json::Arr(stats.collect())),
+            ];
+            members.extend(counter_members(&report, &fp));
+            format!("{:#}\n", Json::obj(members))
+        }
         None | Some("text") => {
             let mut out = bootstrap_checks::render_text(&report, Some(&opts.file));
             if report.findings.is_empty() {
@@ -603,17 +633,7 @@ fn cmd_check(program: &Program, opts: &Opts, fp: FpResolution) -> Result<CliOutp
                     s.findings
                 );
             }
-            let _ = writeln!(out, "{}", cache_line(session.fsci_cache_stats()));
-            if session.config().store.is_some() {
-                let _ = writeln!(out, "{}", store_line(report.store));
-            }
-            let _ = writeln!(out, "{}", interner_line(report.interner));
-            let mut solver = report.solver;
-            solver.record_fp(&fp);
-            solver_lines(&mut out, solver);
-            fp_lines(&mut out, &fp);
-            phase_lines(&mut out, report.phases);
-            degrade_lines(&mut out, &report.degrade);
+            counter_lines(&mut out, &report, &fp, session.config().store.is_some());
             out
         }
         Some(other) => return err(format!("unknown format `{other}` (text|json)")),
@@ -628,7 +648,178 @@ fn cmd_check(program: &Program, opts: &Opts, fp: FpResolution) -> Result<CliOutp
     Ok(CliOutput { exit_code, text })
 }
 
-fn degrade_lines(out: &mut String, d: &bootstrap_checks::DegradeSummary) {
+/// The counters `check` and `stats` both print as JSON members: the
+/// values [`counter_lines`] prints as text.
+fn counter_members(report: &CheckReport, fp: &FpResolution) -> [(&'static str, Json); 7] {
+    let phases = report.phases.iter().map(|(phase, stats)| {
+        Json::obj([
+            ("phase", Json::str(phase.name())),
+            ("wall_secs", Json::Num(stats.wall.as_secs_f64())),
+            ("steps", Json::int(stats.steps)),
+            ("invocations", Json::int(stats.invocations)),
+        ])
+    });
+    let d = &report.degrade;
+    let reasons = d.reasons.iter().map(|(reason, n)| {
+        Json::obj([
+            ("reason", Json::str(reason.label())),
+            ("count", Json::int(*n)),
+        ])
+    });
+    [
+        (
+            "fsci_cache",
+            Json::obj([
+                ("hits", Json::int(report.cache.hits)),
+                ("misses", Json::int(report.cache.misses)),
+                ("entries", Json::int(report.cache.entries)),
+            ]),
+        ),
+        (
+            "interner",
+            Json::obj([
+                ("conds", Json::int(report.interner.conds)),
+                ("deads", Json::int(report.interner.deads)),
+                ("memo_entries", Json::int(report.interner.memo_entries)),
+                ("hits", Json::int(report.interner.hits)),
+                ("misses", Json::int(report.interner.misses)),
+                ("max_ids", Json::int(report.interner.max_ids)),
+                ("occupancy", Json::Num(occupancy(&report.interner))),
+            ]),
+        ),
+        (
+            "store",
+            Json::obj([
+                ("hits", Json::int(report.store.hits)),
+                ("misses", Json::int(report.store.misses)),
+                ("invalidated", Json::int(report.store.invalidated)),
+                ("loads", Json::int(report.store.loads())),
+            ]),
+        ),
+        (
+            "solver",
+            Json::obj([
+                ("pops", Json::int(report.solver.pops)),
+                ("stale_pops", Json::int(report.solver.stale_pops)),
+                ("edges", Json::int(report.solver.edges)),
+                ("sccs_online", Json::int(report.solver.sccs_online)),
+                ("sccs_offline", Json::int(report.solver.sccs_offline)),
+                ("wave_rounds", Json::int(report.solver.wave_rounds)),
+                ("edges_pruned", Json::int(report.solver.edges_pruned)),
+                ("dup_constraints", Json::int(report.solver.dup_constraints)),
+            ]),
+        ),
+        (
+            "fp_resolver",
+            Json::obj([
+                ("stage", Json::str(fp.stage.name())),
+                ("sites", Json::int(fp.sites)),
+                ("edges", Json::int(fp.edges)),
+                ("edges_flta", Json::int(fp.edges_flta)),
+                ("edges_mlta", Json::int(fp.edges_mlta)),
+                ("edges_pts", Json::int(fp.edges_pts)),
+            ]),
+        ),
+        ("phases", Json::Arr(phases.collect())),
+        (
+            "degradation",
+            Json::obj([
+                (
+                    "queries",
+                    Json::obj([
+                        ("fscs", Json::int(d.fscs_queries)),
+                        ("andersen", Json::int(d.andersen_queries)),
+                        ("steensgaard", Json::int(d.steensgaard_queries)),
+                    ]),
+                ),
+                ("degraded_queries", Json::int(d.degraded_queries())),
+                ("reasons", Json::Arr(reasons.collect())),
+            ]),
+        ),
+    ]
+}
+
+/// Prints the counters `check` and `stats` both report, as text: the
+/// values [`counter_members`] prints as JSON. The store line appears only
+/// when the session has a store.
+fn counter_lines(out: &mut String, report: &CheckReport, fp: &FpResolution, store: bool) {
+    let rate = |hits: u64, misses: u64| {
+        let total = hits + misses;
+        if total == 0 {
+            0.0
+        } else {
+            100.0 * hits as f64 / total as f64
+        }
+    };
+    let c = &report.cache;
+    let _ = writeln!(
+        out,
+        "fsci cache: {} hits / {} misses ({} entries, {:.1}% hit rate)",
+        c.hits,
+        c.misses,
+        c.entries,
+        rate(c.hits, c.misses)
+    );
+    if store {
+        let s = &report.store;
+        let _ = writeln!(
+            out,
+            "store: {} hits, {} misses, {} invalidated ({} loads)",
+            s.hits,
+            s.misses,
+            s.invalidated,
+            s.loads()
+        );
+    }
+    let i = &report.interner;
+    let _ = writeln!(
+        out,
+        concat!(
+            "interner: {} conds, {} dead sets, {} memo entries ",
+            "({} hits, {:.1}% hit rate, {:.4}% of {} ids)"
+        ),
+        i.conds,
+        i.deads,
+        i.memo_entries,
+        i.hits,
+        rate(i.hits, i.misses),
+        100.0 * occupancy(i),
+        i.max_ids,
+    );
+    let s = &report.solver;
+    let _ = writeln!(
+        out,
+        "solver pops: {} productive, {} stale ({} copy edges, {} pruned, {} dup constraints)",
+        s.pops, s.stale_pops, s.edges, s.edges_pruned, s.dup_constraints
+    );
+    let _ = writeln!(
+        out,
+        "solver cycles: {} collapsed offline, {} online, {} wave rounds",
+        s.sccs_offline, s.sccs_online, s.wave_rounds
+    );
+    if fp.sites > 0 {
+        let _ = writeln!(
+            out,
+            "fp resolver [{}]: {} sites, {} edges installed (flta {}, mlta {}, pts {})",
+            fp.stage.name(),
+            fp.sites,
+            fp.edges,
+            fp.edges_flta,
+            fp.edges_mlta,
+            fp.edges_pts
+        );
+    }
+    for (phase, stats) in report.phases.iter() {
+        let _ = writeln!(
+            out,
+            "phase {:<13} {:?} ({} runs, {} steps)",
+            format!("{}:", phase.name()),
+            stats.wall,
+            stats.invocations,
+            stats.steps
+        );
+    }
+    let d = &report.degrade;
     let _ = writeln!(
         out,
         "query tiers: {} fscs, {} andersen, {} steensgaard",
@@ -649,91 +840,11 @@ fn degrade_lines(out: &mut String, d: &bootstrap_checks::DegradeSummary) {
     }
 }
 
-fn cache_line(stats: bootstrap_core::FsciCacheStats) -> String {
-    let total = stats.hits + stats.misses;
-    let rate = if total == 0 {
-        0.0
-    } else {
-        100.0 * stats.hits as f64 / total as f64
-    };
-    format!(
-        "fsci cache: {} hits / {} misses ({} entries, {rate:.1}% hit rate)",
-        stats.hits, stats.misses, stats.entries
-    )
-}
-
-fn interner_line(stats: bootstrap_core::InternerStats) -> String {
-    let total = stats.hits + stats.misses;
-    let rate = if total == 0 {
-        0.0
-    } else {
-        100.0 * stats.hits as f64 / total as f64
-    };
-    format!(
-        concat!(
-            "interner: {} conds, {} dead sets, {} memo entries ",
-            "({} hits, {rate:.1}% hit rate, {occ:.4}% of {} ids)"
-        ),
-        stats.conds,
-        stats.deads,
-        stats.memo_entries,
-        stats.hits,
-        stats.max_ids,
-        rate = rate,
-        occ = 100.0 * bootstrap_checks::interner_occupancy(&stats)
-    )
-}
-
-fn store_line(counters: bootstrap_core::StoreCounters) -> String {
-    format!(
-        "store: {} hits, {} misses, {} invalidated ({} loads)",
-        counters.hits,
-        counters.misses,
-        counters.invalidated,
-        counters.loads()
-    )
-}
-
-fn fp_lines(out: &mut String, fp: &FpResolution) {
-    if fp.sites == 0 {
-        return;
-    }
-    let _ = writeln!(
-        out,
-        "fp resolver [{}]: {} sites, {} edges installed (flta {}, mlta {}, pts {})",
-        fp.stage.name(),
-        fp.sites,
-        fp.edges,
-        fp.edges_flta,
-        fp.edges_mlta,
-        fp.edges_pts
-    );
-}
-
-fn solver_lines(out: &mut String, s: bootstrap_core::SolverStats) {
-    let _ = writeln!(
-        out,
-        "solver pops: {} productive, {} stale ({} copy edges, {} pruned, {} dup constraints)",
-        s.pops, s.stale_pops, s.edges, s.edges_pruned, s.dup_constraints
-    );
-    let _ = writeln!(
-        out,
-        "solver cycles: {} collapsed offline, {} online, {} wave rounds",
-        s.sccs_offline, s.sccs_online, s.wave_rounds
-    );
-}
-
-fn phase_lines(out: &mut String, snapshot: bootstrap_core::PhaseSnapshot) {
-    for (phase, stats) in snapshot.iter() {
-        let _ = writeln!(
-            out,
-            "phase {:<13} {:?} ({} runs, {} steps)",
-            format!("{}:", phase.name()),
-            stats.wall,
-            stats.invocations,
-            stats.steps
-        );
-    }
+/// Fraction of the interner's id space in use (conds and dead sets
+/// against `max_ids`); it nears 1.0 as a session nears arena-full
+/// degradation.
+fn occupancy(stats: &InternerStats) -> f64 {
+    (stats.conds + stats.deads) as f64 / f64::from(stats.max_ids.max(1))
 }
 
 fn config_of(opts: &Opts) -> Config {
@@ -922,60 +1033,48 @@ fn cmd_stats(program: &Program, opts: &Opts, fp: FpResolution) -> Result<String,
     let queries: usize = report.stats.iter().map(|s| s.queries).sum();
     match opts.format.as_deref() {
         Some("json") => {
-            let mut out = String::from("{\n");
-            let _ = writeln!(out, "  \"functions\": {},", program.func_count());
-            let _ = writeln!(out, "  \"variables\": {},", program.var_count());
-            let _ = writeln!(out, "  \"pointers\": {},", program.pointer_count());
-            let _ = writeln!(out, "  \"statements\": {},", program.stmt_count());
-            let _ = writeln!(
-                out,
-                "  \"steensgaard_clusters\": {{\"count\": {}, \"max_size\": {}}},",
-                steens_cover.len(),
-                steens_cover.max_cluster_size()
-            );
-            let _ = writeln!(
-                out,
-                "  \"bootstrapped_cover\": {{\"count\": {}, \"max_size\": {}}},",
-                session.cover().len(),
-                session.cover().max_cluster_size()
-            );
-            let _ = writeln!(
-                out,
-                "  \"timings\": {{\"steensgaard_secs\": {:.6}, \"clustering_secs\": {:.6}}},",
-                session.timings().steensgaard.as_secs_f64(),
-                session.timings().clustering.as_secs_f64()
-            );
-            let _ = writeln!(
-                out,
-                "  \"checker_queries\": {{\"total\": {queries}, \"degraded\": {}}},",
-                report.degrade.degraded_queries()
-            );
-            let mut sv = session.solver_stats();
-            sv.record_fp(&fp);
-            out.push_str(&bootstrap_checks::render_json_counters(
-                &session.fsci_cache_stats(),
-                &session.interner_stats(),
-                &report.store,
-                &sv,
-            ));
-            let _ = writeln!(
-                out,
-                concat!(
-                    "  \"fp_resolver\": {{\"stage\": \"{}\", \"sites\": {}, \"edges\": {}, ",
-                    "\"edges_flta\": {}, \"edges_mlta\": {}, \"edges_pts\": {}}},"
+            let cover = |count: usize, max_size: usize| {
+                Json::obj([
+                    ("count", Json::int(count)),
+                    ("max_size", Json::int(max_size)),
+                ])
+            };
+            let mut members = vec![
+                ("functions", Json::int(program.func_count())),
+                ("variables", Json::int(program.var_count())),
+                ("pointers", Json::int(program.pointer_count())),
+                ("statements", Json::int(program.stmt_count())),
+                (
+                    "steensgaard_clusters",
+                    cover(steens_cover.len(), steens_cover.max_cluster_size()),
                 ),
-                fp.stage.name(),
-                fp.sites,
-                fp.edges,
-                fp.edges_flta,
-                fp.edges_mlta,
-                fp.edges_pts
-            );
-            out.push_str(&bootstrap_checks::render_json_phases(
-                &session.phase_stats(),
-            ));
-            out.push_str("\n}\n");
-            Ok(out)
+                (
+                    "bootstrapped_cover",
+                    cover(session.cover().len(), session.cover().max_cluster_size()),
+                ),
+                (
+                    "timings",
+                    Json::obj([
+                        (
+                            "steensgaard_secs",
+                            Json::Num(session.timings().steensgaard.as_secs_f64()),
+                        ),
+                        (
+                            "clustering_secs",
+                            Json::Num(session.timings().clustering.as_secs_f64()),
+                        ),
+                    ]),
+                ),
+                (
+                    "checker_queries",
+                    Json::obj([
+                        ("total", Json::int(queries)),
+                        ("degraded", Json::int(report.degrade.degraded_queries())),
+                    ]),
+                ),
+            ];
+            members.extend(counter_members(&report, &fp));
+            Ok(format!("{:#}\n", Json::obj(members)))
         }
         None | Some("text") => {
             let mut out = String::new();
@@ -1010,17 +1109,7 @@ fn cmd_stats(program: &Program, opts: &Opts, fp: FpResolution) -> Result<String,
                 "checker queries:      {queries} ({} degraded)",
                 report.degrade.degraded_queries()
             );
-            let _ = writeln!(out, "{}", cache_line(session.fsci_cache_stats()));
-            if session.config().store.is_some() {
-                let _ = writeln!(out, "{}", store_line(report.store));
-            }
-            let _ = writeln!(out, "{}", interner_line(session.interner_stats()));
-            let mut solver = session.solver_stats();
-            solver.record_fp(&fp);
-            solver_lines(&mut out, solver);
-            fp_lines(&mut out, &fp);
-            phase_lines(&mut out, session.phase_stats());
-            degrade_lines(&mut out, &report.degrade);
+            counter_lines(&mut out, &report, &fp, session.config().store.is_some());
             Ok(out)
         }
         Some(other) => err(format!("unknown format `{other}` (text|json)")),
@@ -1046,6 +1135,35 @@ mod tests {
     fn run_args(args: &[&str]) -> Result<String, CliError> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         run(&owned)
+    }
+
+    fn parse_json(text: &str) -> Json {
+        bootstrap_client::json::parse(text).unwrap_or_else(|e| panic!("{e} in: {text}"))
+    }
+
+    /// The member at a dotted `path`, failing the test when it is absent.
+    fn at<'a>(json: &'a Json, path: &str) -> &'a Json {
+        path.split('.').fold(json, |v, key| {
+            v.get(key)
+                .unwrap_or_else(|| panic!("no `{path}` in: {json:#}"))
+        })
+    }
+
+    fn count_at(json: &Json, path: &str) -> u64 {
+        at(json, path)
+            .as_u64()
+            .unwrap_or_else(|| panic!("`{path}` is not a count in: {json:#}"))
+    }
+
+    fn findings_at(json: &Json) -> &[Json] {
+        at(json, "findings").as_arr().expect("findings is an array")
+    }
+
+    /// The `error[` / `warning[` lines of a text `check`.
+    fn finding_lines(text: &str) -> Vec<&str> {
+        text.lines()
+            .filter(|l| l.starts_with("error[") || l.starts_with("warning["))
+            .collect()
     }
 
     #[test]
@@ -1146,24 +1264,23 @@ mod tests {
     #[test]
     fn stats_json_format() {
         let f = write_temp("stats_json", DEMO);
-        let out = run_args(&["stats", &f, "--format", "json"]).unwrap();
-        for key in [
-            "\"functions\"",
-            "\"pointers\"",
-            "\"bootstrapped_cover\"",
-            "\"checker_queries\"",
-            "\"fsci_cache\"",
-            "\"interner\"",
-            "\"max_ids\"",
-            "\"occupancy\"",
-            "\"store\"",
-            "\"solver\"",
-            "\"stale_pops\"",
-            "\"wave_rounds\"",
-            "\"phases\"",
+        let json = parse_json(&run_args(&["stats", &f, "--format", "json"]).unwrap());
+        for path in [
+            "functions",
+            "pointers",
+            "bootstrapped_cover.count",
+            "checker_queries.total",
+            "fsci_cache.hits",
+            "interner.max_ids",
+            "store.hits",
+            "solver.stale_pops",
+            "solver.wave_rounds",
+            "degradation.queries.fscs",
         ] {
-            assert!(out.contains(key), "missing {key} in: {out}");
+            count_at(&json, path);
         }
+        assert!(matches!(at(&json, "interner.occupancy"), Json::Num(_)));
+        assert!(!at(&json, "phases").as_arr().unwrap().is_empty());
         let e = run_args(&["stats", &f, "--format", "yaml"]).unwrap_err();
         assert!(e.to_string().contains("unknown format"));
     }
@@ -1245,23 +1362,30 @@ mod tests {
         let f = write_temp("check_json", BUGGY);
         let out = run_args_full(&["check", &f, "--format", "json"]).unwrap();
         assert_eq!(out.exit_code, 1);
-        assert!(
-            out.text.contains("\"checker\": \"null-deref\""),
-            "{}",
-            out.text
-        );
-        assert!(out.text.contains("\"fsci_cache\""), "{}", out.text);
-        assert!(out.text.contains("\"interner\""), "{}", out.text);
-        assert!(out.text.contains("\"solver\""), "{}", out.text);
-        assert!(out.text.contains("\"sccs_online\""), "{}", out.text);
-        assert!(
-            out.text.contains("\"phase\": \"steensgaard\""),
-            "{}",
-            out.text
-        );
-        assert!(out.text.contains("\"degradation\""), "{}", out.text);
-        assert!(out.text.contains("\"degraded_queries\""), "{}", out.text);
-        assert!(out.text.contains("\"precision\": \"fscs\""), "{}", out.text);
+        let json = parse_json(&out.text);
+        let [finding] = findings_at(&json) else {
+            panic!("expected one finding in: {json:#}");
+        };
+        for (path, want) in [
+            ("checker", "null-deref"),
+            ("severity", "error"),
+            ("file", f.as_str()),
+            ("function", "main"),
+            ("var", "p"),
+            ("precision", "fscs"),
+        ] {
+            assert_eq!(at(finding, path).as_str(), Some(want), "{path}");
+        }
+        for path in [
+            "fsci_cache.hits",
+            "interner.conds",
+            "solver.sccs_online",
+            "degradation.degraded_queries",
+        ] {
+            count_at(&json, path);
+        }
+        let phases = at(&json, "phases").as_arr().unwrap();
+        assert_eq!(at(&phases[0], "phase").as_str(), Some("steensgaard"));
         let e = run_args_full(&["check", &f, "--format", "yaml"]).unwrap_err();
         assert!(e.to_string().contains("unknown format"));
     }
@@ -1361,20 +1485,10 @@ mod tests {
         assert!(!warm.text.contains("store: 0 hits"), "{}", warm.text);
         assert!(warm.text.contains("store: "), "{}", warm.text);
         // The findings themselves are identical, cold or warm.
-        let findings = |text: &str| -> Vec<String> {
-            text.lines()
-                .filter(|l| l.starts_with("error[") || l.starts_with("warning["))
-                .map(str::to_string)
-                .collect()
-        };
-        assert_eq!(findings(&cold.text), findings(&warm.text));
+        assert_eq!(finding_lines(&cold.text), finding_lines(&warm.text));
         // JSON output carries the counters too.
         let json = run_args_full(&["check", &f, "--cache-dir", &dir, "--format", "json"]).unwrap();
-        assert!(
-            json.text.contains("\"store\": {\"hits\": "),
-            "{}",
-            json.text
-        );
+        assert!(count_at(&parse_json(&json.text), "store.hits") > 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1415,11 +1529,12 @@ mod tests {
         let cold = run_args(&["stats", &f, "--cache-dir", &dir]).unwrap();
         assert!(cold.contains("store: "), "{cold}");
         let warm = run_args(&["stats", &f, "--cache-dir", &dir, "--format", "json"]).unwrap();
-        assert!(warm.contains("\"store\": {\"hits\": "), "{warm}");
+        let warm = parse_json(&warm);
         assert!(
-            !warm.contains("\"hits\": 0, \"misses\": 0, \"invalidated\": 0, \"loads\": 0"),
-            "warm stats run should touch the store: {warm}"
+            count_at(&warm, "store.loads") > 0,
+            "warm stats run should touch the store: {warm:#}"
         );
+        assert!(count_at(&warm, "store.hits") > 0, "{warm:#}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1437,21 +1552,8 @@ mod tests {
         let mut installed = Vec::new();
         for stage in ["flta", "mlta", "pts"] {
             let out = run_args(&["stats", &f, "--fp-resolver", stage]).unwrap();
-            let line = out
-                .lines()
-                .find(|l| l.starts_with("fp resolver"))
-                .unwrap_or_else(|| panic!("no fp resolver line in: {out}"));
-            assert!(line.contains(&format!("[{stage}]")), "{line}");
-            let edges: usize = line
-                .split("edges installed")
-                .next()
-                .unwrap()
-                .split_whitespace()
-                .next_back()
-                .unwrap()
-                .parse()
-                .unwrap();
-            installed.push(edges);
+            assert!(out.contains(&format!("fp resolver [{stage}]")), "{out}");
+            installed.push(installed_edges(&out));
         }
         // Precision ladder: installed edges never increase down the ladder.
         assert!(installed[0] >= installed[1] && installed[1] >= installed[2]);
@@ -1459,19 +1561,78 @@ mod tests {
         assert!(e.to_string().contains("unknown fp resolver"));
     }
 
+    /// The edge count of a text report's `fp resolver` line.
+    fn installed_edges(text: &str) -> u64 {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("fp resolver"))
+            .unwrap_or_else(|| panic!("no fp resolver line in: {text}"));
+        line.split("edges installed")
+            .next()
+            .and_then(|head| head.split_whitespace().next_back())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no edge count in: {line}"))
+    }
+
     #[test]
-    fn fp_resolver_stats_json_carries_ladder() {
+    fn check_and_stats_json_carry_the_text_counters() {
         let f = write_temp("fp_json", DISPATCH);
-        let out = run_args(&["stats", &f, "--format", "json"]).unwrap();
-        for key in [
-            "\"fp_resolver\"",
-            "\"edges_flta\"",
-            "\"edges_mlta\"",
-            "\"edges_pts\"",
+        let text = run_args(&["check", &f]).unwrap();
+        let check = parse_json(&run_args(&["check", &f, "--format", "json"]).unwrap());
+        assert_eq!(count_at(&check, "fp_resolver.sites"), 1);
+        assert_eq!(
+            count_at(&check, "fp_resolver.edges"),
+            installed_edges(&text)
+        );
+        count_at(&check, "solver.dup_constraints");
+        let stats = parse_json(&run_args(&["stats", &f, "--format", "json"]).unwrap());
+        for path in [
+            "degradation.queries.fscs",
+            "fp_resolver.edges_flta",
+            "fp_resolver.edges_mlta",
+            "fp_resolver.edges_pts",
         ] {
-            assert!(out.contains(key), "missing {key} in: {out}");
+            count_at(&stats, path);
         }
-        assert!(out.contains("\"stage\": \"pts\""), "{out}");
+        assert_eq!(at(&stats, "fp_resolver.stage").as_str(), Some("pts"));
+    }
+
+    #[test]
+    fn check_json_lists_the_text_findings_on_every_example() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files: Vec<_> = ["examples/c", "tests/fixtures"]
+            .iter()
+            .flat_map(|dir| std::fs::read_dir(root.join(dir)).expect("example directory"))
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|ext| ext == "c"))
+            .collect();
+        files.sort();
+        assert!(files.len() >= 8, "{files:?}");
+        for path in files {
+            let f = path.to_string_lossy();
+            let text = run_args(&["check", &f]).unwrap();
+            let json = parse_json(&run_args(&["check", &f, "--format", "json"]).unwrap());
+            assert_eq!(
+                findings_at(&json).len(),
+                finding_lines(&text).len(),
+                "{f}: {text}"
+            );
+        }
+    }
+
+    #[test]
+    fn race_findings_render_in_json() {
+        let f = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/racy.c");
+        let out = run_args_full(&["check", f, "--only", "race", "--format", "json"]).unwrap();
+        assert_eq!(out.exit_code, 1, "{}", out.text);
+        let json = parse_json(&out.text);
+        assert!(
+            findings_at(&json).iter().any(|f| {
+                at(f, "checker").as_str() == Some("race")
+                    && at(f, "object").as_str() == Some("counter")
+            }),
+            "{json:#}"
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Minimal hand-rolled JSON value, parser, and serializer.
 //!
-//! The workspace vendors no serde, so the daemon wire protocol carries
-//! its payloads through this module. It supports the full JSON data
+//! The workspace vendors no serde, so the daemon wire protocol, the
+//! CLI's `--format json` output and the `BENCH_*.json` files are all
+//! written through this module. It supports the full JSON data
 //! model with one deliberate refinement: number literals without a
 //! fraction or exponent are kept as `i64` ([`Json::Int`]) so counters
 //! and sequence numbers round-trip exactly; anything else becomes an
@@ -43,6 +44,11 @@ impl Json {
     /// Builds a string value.
     pub fn str(s: impl Into<String>) -> Json {
         Json::Str(s.into())
+    }
+
+    /// Builds an integer value from a counter, saturating at `i64::MAX`.
+    pub fn int(v: impl TryInto<i64>) -> Json {
+        Json::Int(v.try_into().unwrap_or(i64::MAX))
     }
 
     /// The value at `key` if this is an object containing it.
@@ -92,9 +98,20 @@ impl Json {
 }
 
 impl fmt::Display for Json {
-    /// Compact JSON text: no whitespace, object keys in sorted order, and
-    /// non-finite numbers as `null`.
+    /// JSON text with object keys in sorted order and non-finite numbers
+    /// as `null`. `{}` is compact: no whitespace, as the wire protocol
+    /// sends it. `{:#}` is indented for files and terminals: two spaces
+    /// per level, one member or element per line, and `[]` / `{}` for
+    /// empty containers.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, f.alternate().then_some(0))
+    }
+}
+
+impl Json {
+    /// Writes `self` compact (`indent` is `None`) or indented at nesting
+    /// depth `indent`.
+    fn write(&self, f: &mut fmt::Formatter<'_>, indent: Option<usize>) -> fmt::Result {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
@@ -102,28 +119,47 @@ impl fmt::Display for Json {
             Json::Num(v) if v.is_finite() => write!(f, "{v}"),
             Json::Num(_) => f.write_str("null"),
             Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(map) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
-                }
-                f.write_str("}")
-            }
+            Json::Arr(items) => write_seq(f, indent, "[]", items.iter().map(|v| (None, v))),
+            Json::Obj(map) => write_seq(f, indent, "{}", map.iter().map(|(k, v)| (Some(k), v))),
         }
+    }
+}
+
+/// Writes an array (keys all `None`) or an object between the two
+/// characters of `brackets`.
+fn write_seq<'a>(
+    f: &mut fmt::Formatter<'_>,
+    indent: Option<usize>,
+    brackets: &str,
+    items: impl Iterator<Item = (Option<&'a String>, &'a Json)>,
+) -> fmt::Result {
+    let (open, close) = brackets.split_at(1);
+    let inner = indent.map(|depth| depth + 1);
+    f.write_str(open)?;
+    let mut empty = true;
+    for (key, value) in items {
+        if !empty {
+            f.write_str(",")?;
+        }
+        empty = false;
+        newline(f, inner)?;
+        if let Some(key) = key {
+            write_escaped(f, key)?;
+            f.write_str(if indent.is_some() { ": " } else { ":" })?;
+        }
+        value.write(f, inner)?;
+    }
+    if !empty {
+        newline(f, indent)?;
+    }
+    f.write_str(close)
+}
+
+/// Starts a new line at nesting depth `indent`; nothing in compact form.
+fn newline(f: &mut fmt::Formatter<'_>, indent: Option<usize>) -> fmt::Result {
+    match indent {
+        Some(depth) => write!(f, "\n{:1$}", "", 2 * depth),
+        None => Ok(()),
     }
 }
 
@@ -468,9 +504,42 @@ mod tests {
     }
 
     #[test]
+    fn indented_text_is_pinned() {
+        let v = Json::obj([
+            ("s", Json::str("q\"")),
+            (
+                "n",
+                Json::Arr(vec![Json::Int(-42), Json::Num(0.5), Json::Arr(vec![])]),
+            ),
+            ("o", Json::obj([("e", Json::obj([])), ("z", Json::Null)])),
+        ]);
+        let text = format!("{v:#}");
+        assert_eq!(
+            text,
+            r#"{
+  "n": [
+    -42,
+    0.5,
+    []
+  ],
+  "o": {
+    "e": {},
+    "z": null
+  },
+  "s": "q\""
+}"#
+        );
+        assert_eq!(parse(&text).unwrap(), v);
+        assert_eq!(format!("{:#}", Json::Arr(vec![])), "[]");
+        assert_eq!(format!("{:#}", Json::Int(7)), "7");
+    }
+
+    #[test]
     fn integers_stay_exact() {
         let v = parse("9007199254740993").unwrap();
         assert_eq!(v.as_i64(), Some(9_007_199_254_740_993));
+        assert_eq!(Json::int(7usize), Json::Int(7));
+        assert_eq!(Json::int(u64::MAX), Json::Int(i64::MAX));
     }
 
     #[test]
