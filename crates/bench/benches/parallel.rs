@@ -121,19 +121,25 @@ fn main() {
 
     let secs = |d: Duration| Json::Num(d.as_secs_f64());
     let threads = rows.iter().map(|r| {
-        Json::obj([
-            ("threads", Json::int(r.threads)),
-            ("live_wall_secs", secs(r.live_wall)),
-            ("live_steals", Json::int(r.live_steals)),
-            ("utilization", Json::Num(r.utilization)),
+        let mut fields = vec![("threads", Json::int(r.threads))];
+        // More threads than cores measure time slicing, not scaling.
+        if r.threads <= cores {
+            fields.extend([
+                ("live_wall_secs", secs(r.live_wall)),
+                ("live_steals", Json::int(r.live_steals)),
+                ("utilization", Json::Num(r.utilization)),
+            ]);
+        }
+        fields.extend([
             ("model_makespan_secs", secs(r.model_makespan)),
             ("model_speedup", Json::Num(r.model_speedup)),
             ("static_bin_makespan_secs", secs(r.static_makespan)),
-        ])
+        ]);
+        Json::obj(fields)
     });
     let note = "model_* columns are the deterministic LPT list-schedule model over \
-                measured per-cluster durations; live_* columns depend on the cores \
-                actually present";
+                measured per-cluster durations; live_* columns are written only for \
+                thread counts up to the cores actually present";
     write_bench_json(
         "parallel",
         &Json::obj([

@@ -154,7 +154,7 @@ impl<'s> Analyzer<'s> {
             EngineOptions {
                 cond_cap: config.cond_cap,
                 path_sensitive: config.path_sensitive,
-                uninterned: false,
+                dense: false,
                 arena: Some(Arc::clone(&self.arena)),
                 fault: None,
             },
@@ -756,6 +756,12 @@ impl<'s> Analyzer<'s> {
 impl PtsOracle for Analyzer<'_> {
     fn fsci_pts(&self, v: VarId, loc: Loc) -> Option<Vec<VarId>> {
         Analyzer::fsci_pts(self, v, loc)
+    }
+
+    /// Answers are final at the top level only: inside an FSCI computation
+    /// a cycle cut can weaken them (see [`Analyzer::fsci_pts`]).
+    fn is_stable(&self) -> bool {
+        self.fsci_stack.borrow().is_empty()
     }
 }
 

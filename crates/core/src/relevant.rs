@@ -16,16 +16,17 @@ use std::collections::{HashMap, HashSet};
 
 use bootstrap_analyses::SteensgaardResult;
 use bootstrap_ir::{CallGraph, FuncId, Loc, Program, Stmt, VarId};
+use bootstrap_store::FxBuildHasher;
 
 /// The result of Algorithm 1 for one cluster.
 #[derive(Clone, Debug)]
 pub struct RelevantSet {
     /// `V_P`: variables whose values may affect aliases of the cluster.
-    vars: HashSet<VarId>,
+    vars: HashSet<VarId, FxBuildHasher>,
     /// `St_P`: locations of statements that modify a variable of `V_P`.
-    stmts: HashSet<Loc>,
+    stmts: HashSet<Loc, FxBuildHasher>,
     /// Functions containing at least one statement of `St_P`.
-    funcs: HashSet<FuncId>,
+    funcs: HashSet<FuncId, FxBuildHasher>,
 }
 
 impl RelevantSet {
@@ -79,10 +80,10 @@ impl RelevantSet {
 pub struct RelevantIndex {
     /// Statements directly defining a variable (`Copy`/`AddrOf`/`Load`/
     /// `Null` keyed by their destination).
-    defs_of: HashMap<VarId, Vec<Loc>>,
+    defs_of: HashMap<VarId, Vec<Loc>, FxBuildHasher>,
     /// Store statements keyed by the Steensgaard class they may write
     /// (the pointee class of the store base).
-    stores_writing: HashMap<u32, Vec<Loc>>,
+    stores_writing: HashMap<u32, Vec<Loc>, FxBuildHasher>,
     /// Variables whose address is taken somewhere (`&v` or a heap object);
     /// the path-sensitive mode refuses to track branch literals on these.
     addr_taken: HashSet<VarId>,
@@ -91,8 +92,8 @@ pub struct RelevantIndex {
 impl RelevantIndex {
     /// Builds the index for `program`.
     pub fn build(program: &Program, st: &SteensgaardResult) -> Self {
-        let mut defs_of: HashMap<VarId, Vec<Loc>> = HashMap::new();
-        let mut stores_writing: HashMap<u32, Vec<Loc>> = HashMap::new();
+        let mut defs_of: HashMap<VarId, Vec<Loc>, FxBuildHasher> = HashMap::default();
+        let mut stores_writing: HashMap<u32, Vec<Loc>, FxBuildHasher> = HashMap::default();
         let mut addr_taken: HashSet<VarId> = HashSet::new();
         for (loc, stmt) in program.all_locs() {
             match *stmt {
@@ -128,6 +129,16 @@ impl RelevantIndex {
     pub fn is_addr_taken(&self, v: VarId) -> bool {
         self.addr_taken.contains(&v)
     }
+
+    /// The statements that directly define `v`.
+    pub(crate) fn defs_of(&self, v: VarId) -> &[Loc] {
+        self.defs_of.get(&v).map_or(&[], Vec::as_slice)
+    }
+
+    /// The store statements that may write Steensgaard class `class`.
+    pub(crate) fn stores_writing(&self, class: u32) -> &[Loc] {
+        self.stores_writing.get(&class).map_or(&[], Vec::as_slice)
+    }
 }
 
 /// Runs Algorithm 1 for the cluster with the given `members`, building a
@@ -150,12 +161,12 @@ pub fn relevant_statements_indexed(
     index: &RelevantIndex,
     members: &[VarId],
 ) -> RelevantSet {
-    let mut vars: HashSet<VarId> = members.iter().copied().collect();
+    let mut vars: HashSet<VarId, FxBuildHasher> = members.iter().copied().collect();
     let mut worklist: Vec<VarId> = members.to_vec();
     // Steensgaard classes whose store statements have been pulled in.
     let mut classes_done: HashSet<u32> = HashSet::new();
 
-    let add = |v: VarId, vars: &mut HashSet<VarId>, wl: &mut Vec<VarId>| {
+    let add = |v: VarId, vars: &mut HashSet<VarId, FxBuildHasher>, wl: &mut Vec<VarId>| {
         if vars.insert(v) {
             wl.push(v);
         }
@@ -199,8 +210,8 @@ pub fn relevant_statements_indexed(
     }
 
     // St_P: statements that modify a variable of V_P.
-    let mut stmts = HashSet::new();
-    let mut funcs = HashSet::new();
+    let mut stmts = HashSet::default();
+    let mut funcs = HashSet::default();
     for &v in &vars {
         if let Some(defs) = index.defs_of.get(&v) {
             for &loc in defs {

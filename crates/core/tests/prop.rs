@@ -209,13 +209,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// The hash-consed walk is a pure representation change: over random
-    /// programs, the interned engine and the pre-interning oracle walk
-    /// (`EngineOptions::uninterned`, mirroring `SolverOptions::naive`)
-    /// compute identical summary sets and identical local sources, in both
-    /// path-insensitive and path-sensitive modes.
+    /// The sparse walk is exact: over random programs, it and the dense
+    /// oracle walk (`EngineOptions::dense`, mirroring
+    /// `SolverOptions::naive`) compute equal summaries for every key both
+    /// hold and every key a complete run must compute, and identical
+    /// local sources, in both path-insensitive and path-sensitive modes.
     #[test]
-    fn interned_engine_matches_uninterned_oracle(
+    fn sparse_engine_matches_dense_oracle(
         ops in prop::collection::vec((0u8..6, 0u8..6, 0u8..6), 1..25),
         ps in 0u8..2,
     ) {
@@ -229,11 +229,11 @@ proptest! {
             .var_ids()
             .filter(|v| program.var(*v).is_pointer())
             .collect();
-        let run = |uninterned: bool| {
+        let run = |dense: bool| {
             let mut engine = ClusterEngine::with_engine_options(
                 cx,
                 members.clone(),
-                EngineOptions { cond_cap: 8, path_sensitive, uninterned, arena: None, fault: None },
+                EngineOptions { path_sensitive, dense, ..EngineOptions::default() },
             );
             engine
                 .compute_all_summaries(cx, &NoOracle, &mut AnalysisBudget::unlimited())
@@ -247,11 +247,11 @@ proptest! {
                         .unwrap()
                 })
                 .collect();
-            (engine.summary_snapshot(), sources)
+            (engine, sources)
         };
-        let (interned_summaries, interned_sources) = run(false);
-        let (oracle_summaries, oracle_sources) = run(true);
-        prop_assert_eq!(interned_summaries, oracle_summaries, "summary sets diverge");
-        prop_assert_eq!(interned_sources, oracle_sources, "local sources diverge");
+        let (sparse, sparse_sources) = run(false);
+        let (dense, dense_sources) = run(true);
+        prop_assert_eq!(sparse.summary_disagreements(&dense), vec![], "summaries diverge");
+        prop_assert_eq!(sparse_sources, dense_sources, "local sources diverge");
     }
 }

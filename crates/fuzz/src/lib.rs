@@ -4,7 +4,7 @@
 //! [`bootstrap_workloads::minic`]), runs every engine configuration the
 //! workspace ships — the naive Andersen oracle vs the production solver
 //! (adaptive, and with cycle elimination forced on from the first pop),
-//! interned vs uninterned FSCS walks, sequential vs work-stealing parallel
+//! sparse vs dense FSCS walks, sequential vs work-stealing parallel
 //! cluster processing at 1, 2 and 4 threads — and asserts the soundness
 //! lattice that makes bootstrapping correct:
 //!
@@ -18,7 +18,8 @@
 //!   implies one shared Steensgaard partition;
 //! * FSCS value sources and FSCI points-to facts stay inside the
 //!   Steensgaard candidate sets the walks are seeded from;
-//! * interned and uninterned walks produce identical summary snapshots;
+//! * the sparse FSCS walk and the dense oracle walk compute equal
+//!   summaries, in both path modes;
 //! * cluster reports are identical across thread counts (modulo wall
 //!   time), and site queries / checker reports are identical across fresh
 //!   sessions and across `andersen_threshold` settings;
@@ -448,7 +449,7 @@ fn check_program(program: &Program) -> Result<(), InvariantViolation> {
         }
     }
 
-    // --- Interned vs uninterned walks, per cluster -----------------------
+    // --- Sparse vs dense walks, per cluster, in both path modes ----------
     let cx = EngineCx {
         program,
         steens: s1.steens(),
@@ -456,30 +457,40 @@ fn check_program(program: &Program) -> Result<(), InvariantViolation> {
         index: s1.relevant_index(),
     };
     for cluster in s1.cover().clusters() {
-        let run = |uninterned: bool| -> Option<String> {
-            let mut eng = ClusterEngine::with_engine_options(
-                cx,
-                cluster.members.clone(),
-                EngineOptions {
-                    uninterned,
-                    ..EngineOptions::default()
-                },
-            );
-            let mut budget = AnalysisBudget::steps(STEPS_PER_CLUSTER);
-            match eng.compute_all_summaries(cx, &NoOracle, &mut budget) {
-                Outcome::Done(()) => Some(format!("{:?}", eng.summary_snapshot())),
-                Outcome::Degraded(_) => None,
-            }
-        };
-        if let (Some(interned), Some(uninterned)) = (run(false), run(true)) {
-            if interned != uninterned {
-                return viol(
-                    "walks-disagree",
-                    format!(
-                        "cluster {} summary snapshots differ: interned {} vs uninterned {}",
-                        cluster.id, interned, uninterned
-                    ),
+        for path_sensitive in [false, true] {
+            let run = |dense: bool| -> Option<ClusterEngine> {
+                let mut eng = ClusterEngine::with_engine_options(
+                    cx,
+                    cluster.members.clone(),
+                    EngineOptions {
+                        path_sensitive,
+                        dense,
+                        ..EngineOptions::default()
+                    },
                 );
+                let mut budget = AnalysisBudget::steps(STEPS_PER_CLUSTER);
+                match eng.compute_all_summaries(cx, &NoOracle, &mut budget) {
+                    Outcome::Done(()) => Some(eng),
+                    Outcome::Degraded(_) => None,
+                }
+            };
+            // A cluster whose dense run exhausts the budget is skipped.
+            let Some(dense) = run(true) else {
+                continue;
+            };
+            if let Some(sparse) = run(false) {
+                let keys = sparse.summary_disagreements(&dense);
+                if !keys.is_empty() {
+                    return viol(
+                        "walks-disagree",
+                        format!(
+                            "cluster {} (path_sensitive={path_sensitive}) summaries differ at {keys:?}: sparse {:?} vs dense {:?}",
+                            cluster.id,
+                            sparse.summary_snapshot(),
+                            dense.summary_snapshot()
+                        ),
+                    );
+                }
             }
         }
     }
