@@ -174,6 +174,38 @@ pub fn write_bench_json(name: &str, doc: &Json) {
     }
 }
 
+/// One file of a benchmark workload's shape: a chain of `n` pointers with
+/// a branch halfway down, one hop through a double pointer just after and
+/// a dereference at the end; with `helpers > 0` every copy goes through
+/// one of that many branchy identity functions.
+pub fn chain_source(n: usize, helpers: usize) -> String {
+    let mut s = String::from("int k; int a; int b; int x; int **w;\n");
+    for i in 0..n {
+        s.push_str(&format!("int *q{i};\n"));
+    }
+    for h in 0..helpers {
+        s.push_str(&format!(
+            "int *id{h}(int *r{h}) {{ if (k) {{ return r{h}; }} return r{h}; }}\n"
+        ));
+    }
+    s.push_str("void main() {\n    q0 = &a;\n");
+    let mid = n / 2;
+    for i in 1..n {
+        if i == mid + 1 {
+            s.push_str(&format!("    w = &q{mid};\n    q{i} = *w;\n"));
+        } else if helpers == 0 {
+            s.push_str(&format!("    q{i} = q{};\n", i - 1));
+        } else {
+            s.push_str(&format!("    q{i} = id{}(q{});\n", i % helpers, i - 1));
+        }
+        if i == mid {
+            s.push_str(&format!("    if (k) {{ q{i} = &b; }}\n"));
+        }
+    }
+    s.push_str(&format!("    x = *q{};\n}}\n", n - 1));
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

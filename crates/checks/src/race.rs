@@ -129,17 +129,24 @@ struct Access {
     precision: Precision,
 }
 
-/// Runs the race checker. Returns findings plus `(sites, queries)` work
-/// counters for [`crate::CheckerStats`].
+/// The program's thread-escape facts, or `None` when it runs fewer than
+/// two threads and so cannot race.
+pub(crate) fn threads(session: &Session<'_>) -> Option<EscapeResult> {
+    let esc = escape::analyze(session.program(), |v| {
+        session.steens().points_to_vars(v).to_vec()
+    });
+    (esc.thread_count() >= 2).then_some(esc)
+}
+
+/// Runs the race checker over the facts [`threads`] found. Returns
+/// findings plus `(sites, queries)` work counters for
+/// [`crate::CheckerStats`].
 pub(crate) fn check(
     session: &Session<'_>,
     rs: &mut Resolver<'_, '_>,
+    esc: &EscapeResult,
 ) -> (Vec<Finding>, usize, usize) {
     let program = session.program();
-    let esc = escape::analyze(program, |v| session.steens().points_to_vars(v).to_vec());
-    if esc.thread_count() < 2 {
-        return (Vec::new(), 0, 0);
-    }
 
     // Collect lock/unlock sites and dereference sites in live functions,
     // then resolve them in Steensgaard-partition order so consecutive
@@ -196,7 +203,7 @@ pub(crate) fn check(
         );
     }
 
-    let states = lockset_fixpoint(session, &esc, &ops);
+    let states = lockset_fixpoint(session, esc, &ops);
     let lockstate_at = |loc: Loc| -> LockState {
         states
             .get(loc.func.index())
