@@ -5,23 +5,34 @@
 //! sequence of **epochs**: within an epoch the program is immutable and
 //! a fixed pool of workers answers `check`/`query`/`stats` requests
 //! concurrently; an `edit` that parses ends the serving scope, the
-//! workers drain, and the barrier lowers the edited workspace once. If
-//! it lowers, the workspace advances and the next epoch's session is
-//! built over that program, with the incremental machinery
-//! ([`diff_and_adopt`]) arming the persistent store to adopt every
-//! cluster the edit provably did not touch; if not, the edit is rejected
-//! and the epoch resumes.
+//! workers finish the requests they hold, and the barrier lowers the
+//! edited workspace once. If it lowers, the workspace advances and the
+//! next epoch's session is built over that program, with the incremental
+//! machinery ([`diff_and_adopt`]) arming the persistent store to adopt
+//! every cluster the edit provably did not touch; if not, the edit is
+//! rejected and the epoch resumes.
+//!
+//! Threads wait on events, not timers. One acceptor lives for the whole
+//! [`serve`] call: it blocks in `accept` and feeds a daemon-wide bounded
+//! queue, so an epoch's end needs no wake-up, and connections that
+//! arrive during a barrier wait in the queue for the next epoch's
+//! workers. The workers and the watchdog live for one serving scope: the
+//! barrier joins the workers, which take no new connection once the
+//! scope has ended, and then tells the watchdog to return. Only shutdown
+//! wakes the acceptor, with one connection to the daemon's own socket
+//! that no worker ever sees.
 //!
 //! Robustness layers, in request order:
 //!
 //! * **Shedding** — the acceptor keeps a bounded queue of accepted
 //!   connections; beyond the cap it answers `overloaded` with a retry
-//!   hint and closes, so latency stays bounded under storm load.
+//!   hint and closes, so latency stays bounded under storm load, and the
+//!   connections that arrive during an edit barrier stay bounded too.
 //! * **Deadlines & cancellation** — each request's [`QueryLimits`]
-//!   carry a wall deadline and a cancel flag; a watchdog thread polls
-//!   in-flight connections and flips the flag when the client vanishes,
-//!   so abandoned work degrades down the precision ladder and returns
-//!   instead of wedging a worker.
+//!   carry a wall deadline and a cancel flag; while a request is in
+//!   flight a watchdog thread polls its connection and flips the flag
+//!   when the client vanishes, so abandoned work degrades down the
+//!   precision ladder and returns instead of wedging a worker.
 //! * **Isolation** — request handlers run under `catch_unwind`; a
 //!   panicked batch is retried once on a fresh analyzer with a doubled
 //!   interning arena (the parallel driver's cluster-retry idiom), and a
@@ -40,11 +51,13 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fs;
 use std::io::{self, Write};
+use std::os::unix::fs::MetadataExt;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bootstrap_checks::{render_text, run_checks_with, CheckerKind};
@@ -67,8 +80,12 @@ const READ_TIMEOUT_MS: u64 = 2_000;
 const WRITE_TIMEOUT_MS: u64 = 2_000;
 /// Worker stall injected by a `budget` serve fault.
 const STALL_MS: u64 = 120;
-/// Watchdog poll interval for disconnect detection.
+/// Watchdog poll interval for disconnect detection while a request is
+/// in flight.
 const WATCH_POLL_MS: u64 = 10;
+/// Pause after a failed `accept` (out of file descriptors, say), so the
+/// acceptor cannot spin.
+const ACCEPT_BACKOFF_MS: u64 = 2;
 
 /// Configuration for [`serve`].
 #[derive(Clone, Debug)]
@@ -110,12 +127,14 @@ impl ServeOptions {
 /// Runs the daemon until a `shutdown` request. Blocks the calling
 /// thread; tests run it on a spawned thread and stop it via the client.
 pub fn serve(opts: ServeOptions) -> io::Result<()> {
-    Daemon {
+    Arc::new(Daemon {
         opts,
         counters: Counters::default(),
         next_watch: AtomicU64::new(0),
         corrupt_journal_armed: AtomicBool::new(false),
-    }
+        intake: Mutex::default(),
+        available: Condvar::new(),
+    })
     .run()
 }
 
@@ -142,6 +161,20 @@ struct Daemon {
     /// Set by an `arena-full` serve fault: corrupt the journal right
     /// after its next publish.
     corrupt_journal_armed: AtomicBool,
+    /// Accepted connections waiting for a worker. The acceptor fills it
+    /// for the daemon's lifetime, and every epoch's workers serve it.
+    intake: Mutex<Intake>,
+    /// Signalled when a connection is queued or a serving scope ends.
+    available: Condvar,
+}
+
+/// The daemon-wide queue of accepted connections.
+#[derive(Default)]
+struct Intake {
+    conns: VecDeque<UnixStream>,
+    /// Set by `shutdown`: the acceptor queues nothing more, and the last
+    /// scope's workers answer what it queued before `serve` returns.
+    closed: bool,
 }
 
 /// How an epoch's serving scope wound down.
@@ -167,23 +200,31 @@ struct WatchEntry {
     cancel: Arc<AtomicBool>,
 }
 
-/// One epoch: its resident session and workspace, and the state its
-/// acceptor, workers and watchdog share.
+/// Connections being watched, and whether the scope's workers have all
+/// returned, which ends the watchdog.
+#[derive(Default)]
+struct Watch {
+    entries: Vec<WatchEntry>,
+    done: bool,
+}
+
+/// One serving scope of an epoch: its resident session and workspace,
+/// and the state its workers and watchdog share.
 struct EpochCx<'a, 'p> {
     session: &'a Session<'p>,
     workspace: &'a Workspace,
     epoch: u64,
     dirty_now: Option<DirtySummary>,
-    queue: Mutex<VecDeque<UnixStream>>,
-    available: Condvar,
-    /// Requests currently queued or being handled (watchdog lifetime).
-    active: AtomicU64,
+    /// The scope is over: its workers take no new connection, except
+    /// after a shutdown, when they drain the closed intake.
     end: AtomicBool,
-    shutdown: AtomicBool,
     /// An edit that parsed, with the client awaiting its answer: the
     /// barrier lowers it.
     pending_edit: Mutex<Option<(UnixStream, Workspace)>>,
-    watch: Mutex<Vec<WatchEntry>>,
+    watch: Mutex<Watch>,
+    /// Signalled when a connection is watched or the watchdog should
+    /// return.
+    watched: Condvar,
 }
 
 impl Daemon {
@@ -191,8 +232,8 @@ impl Daemon {
         self.opts.cache_dir.as_ref().map(|d| d.join("journal.bin"))
     }
 
-    fn run(&self) -> io::Result<()> {
-        let (mut workspace, mut program, mut epoch) = self.recover()?;
+    fn run(self: Arc<Self>) -> io::Result<()> {
+        let start = self.recover()?;
 
         match fs::remove_file(&self.opts.socket) {
             Ok(()) => {}
@@ -200,25 +241,34 @@ impl Daemon {
             Err(e) => return Err(e),
         }
         let listener = UnixListener::bind(&self.opts.socket)?;
-        listener.set_nonblocking(true)?;
+        let bound = socket_id(&self.opts.socket);
+        let acceptor = {
+            let daemon = Arc::clone(&self);
+            std::thread::spawn(move || daemon.acceptor(listener))
+        };
 
+        // However the epochs end, a worker's panic included, the acceptor
+        // is stopped before `serve` returns or the panic resumes.
+        let served = catch_unwind(AssertUnwindSafe(|| self.serve_epochs(start)));
+        self.lock_intake().closed = true;
+        self.stop_acceptor(acceptor, bound);
+        if let Err(panic) = served {
+            resume_unwind(panic);
+        }
+        Ok(())
+    }
+
+    /// Serves epochs from the recovered workspace, its program and its
+    /// epoch, until a `shutdown`.
+    fn serve_epochs(&self, (mut workspace, mut program, mut epoch): (Workspace, Program, u64)) {
         let mut prev: Option<PartitionSnapshot> = None;
         let mut reply: Option<UnixStream> = None;
         loop {
-            let (outcome, snap) = self.run_epoch(
-                &listener,
-                &program,
-                &workspace,
-                epoch,
-                prev.as_ref(),
-                reply.take(),
-            );
+            let (outcome, snap) =
+                self.run_epoch(&program, &workspace, epoch, prev.as_ref(), reply.take());
             prev = Some(snap);
             match outcome {
-                EpochOutcome::Shutdown => {
-                    let _ = fs::remove_file(&self.opts.socket);
-                    return Ok(());
-                }
+                EpochOutcome::Shutdown => return,
                 EpochOutcome::Edit(edit) => {
                     workspace = edit.workspace;
                     program = edit.program;
@@ -301,7 +351,6 @@ impl Daemon {
     /// ended and its snapshot, which the next epoch diffs against.
     fn run_epoch(
         &self,
-        listener: &UnixListener,
         program: &Program,
         workspace: &Workspace,
         epoch: u64,
@@ -352,22 +401,13 @@ impl Daemon {
                 workspace,
                 epoch,
                 dirty_now: dirty_now.clone(),
-                queue: Mutex::new(VecDeque::new()),
-                available: Condvar::new(),
-                active: AtomicU64::new(0),
                 end: AtomicBool::new(false),
-                shutdown: AtomicBool::new(false),
                 pending_edit: Mutex::new(None),
-                watch: Mutex::new(Vec::new()),
+                watch: Mutex::default(),
+                watched: Condvar::new(),
             };
-            std::thread::scope(|s| {
-                for _ in 0..self.opts.workers.max(1) {
-                    s.spawn(|| self.worker(&cx));
-                }
-                s.spawn(|| self.watchdog(&cx));
-                self.acceptor(listener, &cx);
-            });
-            if cx.shutdown.load(Ordering::SeqCst) {
+            self.serve_scope(&cx);
+            if self.lock_intake().closed {
                 return (EpochOutcome::Shutdown, snap);
             }
             let (mut reply, workspace) = cx
@@ -390,89 +430,163 @@ impl Daemon {
         }
     }
 
-    /// Accepts connections into the bounded queue, shedding beyond the
-    /// cap. Runs on the epoch scope's own thread until the epoch ends.
-    fn acceptor(&self, listener: &UnixListener, cx: &EpochCx<'_, '_>) {
-        while !cx.end.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let mut q = cx.queue.lock().unwrap_or_else(|e| e.into_inner());
-                    if q.len() >= self.opts.queue_cap.max(1) {
-                        drop(q);
-                        self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                        let mut stream = stream;
-                        let _ = write_response(
-                            &mut stream,
-                            &Response::Overloaded {
-                                retry_after_ms: RETRY_AFTER_MS,
-                            },
-                        );
-                    } else {
-                        q.push_back(stream);
-                        cx.active.fetch_add(1, Ordering::SeqCst);
-                        drop(q);
-                        cx.available.notify_one();
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(2)),
-            }
-        }
-        cx.available.notify_all();
+    fn lock_intake(&self) -> MutexGuard<'_, Intake> {
+        self.intake.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Polls watched connections; a vanished client flips its request's
-    /// cancel flag so the ladder abandons the work at the next budget
-    /// checkpoint.
-    fn watchdog(&self, cx: &EpochCx<'_, '_>) {
+    /// Accepts connections for the daemon's lifetime, blocking in
+    /// `accept`, into the queue that every epoch's workers serve; beyond
+    /// `queue_cap` it sheds with `overloaded`. Connections that arrive
+    /// during an epoch barrier wait in the queue, or are shed, for the
+    /// next epoch. Once the intake is closed, the next connection it
+    /// accepts (the daemon's own wake-up, or a late client) is dropped
+    /// unanswered, and the acceptor returns, closing the listener.
+    fn acceptor(&self, listener: UnixListener) {
         loop {
-            if cx.end.load(Ordering::SeqCst) && cx.active.load(Ordering::SeqCst) == 0 {
+            let accepted = listener.accept();
+            let mut intake = self.lock_intake();
+            if intake.closed {
                 return;
             }
-            {
-                let mut watch = cx.watch.lock().unwrap_or_else(|e| e.into_inner());
-                for entry in watch.iter_mut() {
-                    // A non-blocking 1-byte read: `Ok(0)` is EOF (the
-                    // client hung up), `WouldBlock` means still
-                    // connected and quiet. The protocol is one request
-                    // per connection, so any byte consumed here was
-                    // excess the server would never read anyway.
-                    let mut buf = [0u8; 1];
-                    match io::Read::read(&mut entry.stream, &mut buf) {
-                        Ok(0) => entry.cancel.store(true, Ordering::SeqCst),
-                        Ok(_) => {}
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                        Err(_) => entry.cancel.store(true, Ordering::SeqCst),
-                    }
+            let Ok((mut stream, _)) = accepted else {
+                drop(intake);
+                std::thread::sleep(Duration::from_millis(ACCEPT_BACKOFF_MS));
+                continue;
+            };
+            if intake.conns.len() < self.opts.queue_cap.max(1) {
+                intake.conns.push_back(stream);
+                drop(intake);
+                self.available.notify_one();
+                continue;
+            }
+            drop(intake);
+            self.counters.shed.fetch_add(1, Ordering::Relaxed);
+            let _ = write_response(
+                &mut stream,
+                &Response::Overloaded {
+                    retry_after_ms: RETRY_AFTER_MS,
+                },
+            );
+        }
+    }
+
+    /// Wakes the acceptor, blocked in `accept`, with one connection to
+    /// the daemon's own socket, removes the socket file and joins the
+    /// acceptor. The intake must be closed first, so that the wake-up is
+    /// dropped unanswered. If the socket file is no longer the one `bind`
+    /// made (`bound`), a connection could reach another process, and if
+    /// the connection fails, joining would wait for one that may never
+    /// come: then the file is left alone and the acceptor is not joined;
+    /// it exits at the next connection it accepts.
+    fn stop_acceptor(&self, acceptor: JoinHandle<()>, bound: Option<(u64, u64)>) {
+        let socket = &self.opts.socket;
+        if socket_id(socket) != bound || UnixStream::connect(socket).is_err() {
+            eprintln!(
+                "bootstrap-daemon: could not wake the acceptor; it exits on its next connection"
+            );
+            return;
+        }
+        let _ = fs::remove_file(socket);
+        if let Err(panic) = acceptor.join() {
+            resume_unwind(panic);
+        }
+    }
+
+    /// Serves one scope of an epoch until an edit or a shutdown ends it.
+    /// The barrier joins the workers, which take no new connection once
+    /// the scope has ended, and then tells the watchdog to return; no
+    /// thread waits out a timer. A worker's panic propagates once the
+    /// watchdog has returned.
+    fn serve_scope(&self, cx: &EpochCx<'_, '_>) {
+        std::thread::scope(|s| {
+            s.spawn(|| self.watchdog(cx));
+            let workers: Vec<_> = (0..self.opts.workers.max(1))
+                .map(|_| s.spawn(|| self.worker(cx)))
+                .collect();
+            let panics: Vec<_> = workers.into_iter().filter_map(|w| w.join().err()).collect();
+            cx.watch.lock().unwrap_or_else(|e| e.into_inner()).done = true;
+            cx.watched.notify_one();
+            if let Some(panic) = panics.into_iter().next() {
+                resume_unwind(panic);
+            }
+        });
+    }
+
+    /// Ends the serving scope: its workers finish the requests they hold
+    /// and take no new one. `shutdown` also closes the intake, so the
+    /// acceptor queues nothing more and the workers answer what it has
+    /// queued. The flag flips under the intake's lock, so no worker can
+    /// miss it between looking at the queue and waiting.
+    fn end_scope(&self, cx: &EpochCx<'_, '_>, shutdown: bool) {
+        let mut intake = self.lock_intake();
+        intake.closed |= shutdown;
+        cx.end.store(true, Ordering::SeqCst);
+        drop(intake);
+        self.available.notify_all();
+    }
+
+    /// Probes the watched connections every `WATCH_POLL_MS` while any
+    /// request is in flight; a vanished client flips its request's
+    /// cancel flag so the ladder abandons the work at the next budget
+    /// checkpoint. With nothing to watch it waits untimed, and it
+    /// returns as soon as the barrier has joined the scope's workers.
+    fn watchdog(&self, cx: &EpochCx<'_, '_>) {
+        let mut watch = cx.watch.lock().unwrap_or_else(|e| e.into_inner());
+        while !watch.done {
+            for entry in watch.entries.iter_mut() {
+                // A non-blocking 1-byte read: `Ok(0)` is EOF (the
+                // client hung up), `WouldBlock` means still
+                // connected and quiet. The protocol is one request
+                // per connection, so any byte consumed here was
+                // excess the server would never read anyway.
+                let mut buf = [0u8; 1];
+                match io::Read::read(&mut entry.stream, &mut buf) {
+                    Ok(0) => entry.cancel.store(true, Ordering::SeqCst),
+                    Ok(_) => {}
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                    Err(_) => entry.cancel.store(true, Ordering::SeqCst),
                 }
             }
-            std::thread::sleep(Duration::from_millis(WATCH_POLL_MS));
+            watch = if watch.entries.is_empty() {
+                cx.watched.wait(watch).unwrap_or_else(|e| e.into_inner())
+            } else {
+                let poll = Duration::from_millis(WATCH_POLL_MS);
+                let (watch, _) = cx
+                    .watched
+                    .wait_timeout(watch, poll)
+                    .unwrap_or_else(|e| e.into_inner());
+                watch
+            };
         }
     }
 
     fn worker(&self, cx: &EpochCx<'_, '_>) {
         loop {
             let conn = {
-                let mut q = cx.queue.lock().unwrap_or_else(|e| e.into_inner());
+                let mut intake = self.lock_intake();
                 loop {
-                    if let Some(c) = q.pop_front() {
-                        break Some(c);
-                    }
-                    if cx.end.load(Ordering::SeqCst) {
+                    let end = cx.end.load(Ordering::SeqCst);
+                    // An ended scope takes no new connection, so a storm
+                    // cannot hold up the barrier; the next epoch serves
+                    // the queue. After a shutdown nothing more is queued,
+                    // and what is queued is answered.
+                    if end && !intake.closed {
                         break None;
                     }
-                    let (guard, _) = cx
+                    if let Some(c) = intake.conns.pop_front() {
+                        break Some(c);
+                    }
+                    if end {
+                        break None;
+                    }
+                    intake = self
                         .available
-                        .wait_timeout(q, Duration::from_millis(50))
+                        .wait(intake)
                         .unwrap_or_else(|e| e.into_inner());
-                    q = guard;
                 }
             };
             let Some(conn) = conn else { return };
             self.handle(conn, cx);
-            cx.active.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -546,9 +660,7 @@ impl Daemon {
             }
             Request::Shutdown => {
                 let _ = write_response(&mut conn, &Response::ShutdownOk);
-                cx.shutdown.store(true, Ordering::SeqCst);
-                cx.end.store(true, Ordering::SeqCst);
-                cx.available.notify_all();
+                self.end_scope(cx, true);
             }
         }
     }
@@ -593,7 +705,7 @@ impl Daemon {
                 ))))
             }))
         });
-        self.unregister_watch(cx, watch);
+        self.unregister_watch(cx, conn, watch);
         if result.is_err() {
             let _ = write_response(
                 conn,
@@ -740,8 +852,7 @@ impl Daemon {
                 // accounting.
                 *pending = Some((conn, next));
                 drop(pending);
-                cx.end.store(true, Ordering::SeqCst);
-                cx.available.notify_all();
+                self.end_scope(cx, false);
             }
         }
     }
@@ -798,9 +909,10 @@ impl Daemon {
         ]))
     }
 
-    /// Registers a connection for disconnect watching. Switches the
-    /// socket to non-blocking (the watchdog's `peek` and the response
-    /// write both tolerate `WouldBlock`).
+    /// Registers a connection for disconnect watching and wakes the
+    /// watchdog to poll it. The watchdog's probe reads a clone of the
+    /// socket without blocking, which makes the socket itself
+    /// non-blocking until [`Daemon::unregister_watch`].
     fn register_watch(
         &self,
         cx: &EpochCx<'_, '_>,
@@ -813,16 +925,23 @@ impl Daemon {
         cx.watch
             .lock()
             .unwrap_or_else(|e| e.into_inner())
+            .entries
             .push(WatchEntry { id, stream, cancel });
+        cx.watched.notify_one();
         Some(id)
     }
 
-    fn unregister_watch(&self, cx: &EpochCx<'_, '_>, id: Option<u64>) {
+    /// Stops watching `conn` and puts it back in blocking mode for the
+    /// reply. The entry goes first: the watchdog probes only under the
+    /// watch lock, so no probe can then block on the socket.
+    fn unregister_watch(&self, cx: &EpochCx<'_, '_>, conn: &UnixStream, id: Option<u64>) {
         if let Some(id) = id {
             cx.watch
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
+                .entries
                 .retain(|e| e.id != id);
+            let _ = conn.set_nonblocking(false);
         }
     }
 }
@@ -837,8 +956,14 @@ fn summary_of(d: DirtyReport) -> DirtySummary {
     }
 }
 
-/// Frames and writes one response, tolerating `WouldBlock` (watched
-/// connections are non-blocking) with a hard time ceiling.
+/// The device and inode of the file at `path`, if there is one.
+fn socket_id(path: &Path) -> Option<(u64, u64)> {
+    fs::metadata(path).ok().map(|m| (m.dev(), m.ino()))
+}
+
+/// Frames and writes one response on a blocking connection. Each write
+/// is bounded by what remains of `WRITE_TIMEOUT_MS`, so a reader that
+/// stops reading gets an error after that ceiling rather than a worker.
 fn write_response(conn: &mut UnixStream, resp: &Response) -> io::Result<()> {
     let payload = resp.to_json().to_string().into_bytes();
     if payload.len() > MAX_FRAME {
@@ -850,21 +975,65 @@ fn write_response(conn: &mut UnixStream, resp: &Response) -> io::Result<()> {
     let mut buf = Vec::with_capacity(payload.len() + 4);
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(&payload);
-    let start = Instant::now();
+    let deadline = Instant::now() + Duration::from_millis(WRITE_TIMEOUT_MS);
     let mut off = 0;
     while off < buf.len() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        conn.set_write_timeout(Some(left))?;
         match conn.write(&buf[off..]) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
             Ok(n) => off += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if start.elapsed() > Duration::from_millis(WRITE_TIMEOUT_MS) {
-                    return Err(e);
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn big_reply(bytes: usize) -> Response {
+        Response::CheckOk {
+            text: "x".repeat(bytes),
+            findings: 0,
+            exit_code: 0,
+        }
+    }
+
+    #[test]
+    fn a_reply_of_several_mib_arrives_whole() {
+        let (mut server, mut client) = UnixStream::pair().unwrap();
+        let reader = std::thread::spawn(move || {
+            let payload = bootstrap_client::read_frame(&mut client).unwrap().unwrap();
+            bootstrap_client::decode_response(&payload).unwrap()
+        });
+        let reply = big_reply(6 << 20);
+        write_response(&mut server, &reply).unwrap();
+        assert_eq!(reader.join().unwrap(), reply);
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_gets_an_error_after_the_ceiling() {
+        let (mut server, _client) = UnixStream::pair().unwrap();
+        let start = Instant::now();
+        let err = write_response(&mut server, &big_reply(6 << 20)).unwrap_err();
+        let took = start.elapsed();
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+            "{err:?}"
+        );
+        assert!(
+            took >= Duration::from_millis(WRITE_TIMEOUT_MS - 50)
+                && took < Duration::from_millis(WRITE_TIMEOUT_MS * 3),
+            "gave up after {took:?}"
+        );
+    }
 }

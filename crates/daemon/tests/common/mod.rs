@@ -121,9 +121,10 @@ pub fn spawn_daemon(opts: ServeOptions) -> thread::JoinHandle<io::Result<()>> {
 
 /// Waits for the daemon's listening socket to appear. Deliberately does
 /// not open a probe connection: request ticks drive deterministic fault
-/// injection, and a dropped probe would still consume a tick once the
-/// acceptor drains it. The socket file appears only after `bind`, at
-/// which point the listener's backlog already accepts connects.
+/// injection, and a dropped probe would still consume a tick once a
+/// worker takes it from the queue. The socket file appears only after
+/// `bind`, at which point the listener's backlog already accepts
+/// connects.
 pub fn wait_socket(path: &Path) {
     for _ in 0..2_000 {
         if path.exists() {

@@ -1,21 +1,25 @@
 //! End-to-end daemon tests: protocol smoke, malformed-wire torture,
-//! load shedding, disconnect cancellation, and crash recovery.
+//! load shedding, disconnect cancellation, crash recovery, and serving
+//! that waits on no timer.
 
 mod common;
 
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::Shutdown;
+use std::os::unix::fs::MetadataExt;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bootstrap_client::{
     decode_response, read_frame, write_frame, Client, DirtySummary, Request, Response,
 };
 use bootstrap_core::{FaultKind, FaultPhase, FaultPlan};
-use bootstrap_daemon::ServeOptions;
+use bootstrap_daemon::{serve, ServeOptions};
 
 use common::*;
 
@@ -47,6 +51,35 @@ fn check_text(client: &Client) -> (String, u64) {
         }
         other => panic!("expected check_ok, got {other:?}"),
     }
+}
+
+/// Runs `serve` on a thread whose result arrives on the returned
+/// channel, so that a test can bound how long it waits for `serve` to
+/// return.
+fn serve_on_thread(opts: ServeOptions) -> mpsc::Receiver<std::io::Result<()>> {
+    let (done, served) = mpsc::channel();
+    thread::spawn(move || done.send(serve(opts)));
+    served
+}
+
+/// Waits at most 10 s for `serve` to return, so that a missed wake-up
+/// fails the test instead of hanging the suite.
+fn await_return(served: &mpsc::Receiver<std::io::Result<()>>) {
+    served
+        .recv_timeout(Duration::from_secs(10))
+        .expect("serve did not return within 10 s of shutdown")
+        .unwrap();
+}
+
+/// Sends `shutdown` over a connection opened earlier.
+fn shutdown_over(mut stream: UnixStream) {
+    write_frame(
+        &mut stream,
+        Request::Shutdown.to_json().to_string().as_bytes(),
+    )
+    .unwrap();
+    let payload = read_frame(&mut stream).unwrap().expect("a response");
+    assert_eq!(decode_response(&payload).unwrap(), Response::ShutdownOk);
 }
 
 fn edit(client: &Client, file: &str, content: &str) -> Response {
@@ -562,6 +595,194 @@ fn remove_file_is_validated() {
     }
     let stats = client.request(&Request::Stats).unwrap();
     assert!(stats_field(&stats, "epoch") <= 1);
+    client.request(&Request::Shutdown).unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// On an idle daemon no request waits for a timer: the acceptor blocks
+/// in `accept`, so sequential round trips take a fraction of a
+/// millisecond, where an acceptor sleeping 2 ms whenever `accept` would
+/// block puts the median near 2 ms.
+#[test]
+fn idle_round_trips_wait_for_no_timer() {
+    let socket = tmp_socket("idle");
+    let mut opts = ServeOptions::new(&socket);
+    opts.seed_files = files_for(&seed_state());
+    let handle = spawn_daemon(opts);
+    wait_socket(&socket);
+    let client = Client::new(&socket);
+    // The first request waits for the first session; leave it out.
+    client.request(&Request::Stats).unwrap();
+
+    let mut trips: Vec<Duration> = (0..50)
+        .map(|_| {
+            let start = Instant::now();
+            let resp = client.request_once(&Request::Stats).unwrap();
+            assert!(matches!(resp, Response::StatsOk(_)), "{resp:?}");
+            start.elapsed()
+        })
+        .collect();
+    trips.sort();
+    let median = trips[trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(1),
+        "median stats round trip {median:?}; sorted: {trips:?}"
+    );
+
+    client.request(&Request::Shutdown).unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// `shutdown` wakes the acceptor blocked in `accept`, so `serve`
+/// returns.
+#[test]
+fn shutdown_returns_from_an_idle_serve() {
+    let socket = tmp_socket("idle-shutdown");
+    let mut opts = ServeOptions::new(&socket);
+    opts.seed_files = files_for(&seed_state());
+    let served = serve_on_thread(opts);
+    wait_socket(&socket);
+    let client = Client::new(&socket);
+    assert!(matches!(
+        client.request(&Request::Stats).unwrap(),
+        Response::StatsOk(_)
+    ));
+
+    assert!(matches!(
+        client.request(&Request::Shutdown).unwrap(),
+        Response::ShutdownOk
+    ));
+    await_return(&served);
+    assert!(!socket.exists(), "socket removed on shutdown");
+}
+
+/// With its socket file removed, the daemon cannot wake its acceptor
+/// through the socket; `shutdown` still makes `serve` return.
+#[test]
+fn shutdown_returns_when_the_socket_file_is_gone() {
+    let socket = tmp_socket("unlinked");
+    let mut opts = ServeOptions::new(&socket);
+    opts.seed_files = files_for(&seed_state());
+    let served = serve_on_thread(opts);
+    wait_socket(&socket);
+    let stream = UnixStream::connect(&socket).unwrap();
+    std::fs::remove_file(&socket).unwrap();
+
+    shutdown_over(stream);
+    await_return(&served);
+}
+
+/// A daemon started on a socket path in use replaces the socket file.
+/// When the first daemon then shuts down, through a connection it had
+/// already accepted, it must neither wake the second daemon's acceptor
+/// in place of its own (taking a request tick there) nor remove the
+/// second daemon's socket file.
+#[test]
+fn shutdown_leaves_a_replacing_daemons_socket_alone() {
+    let socket = tmp_socket("replaced");
+    let opts = || {
+        let mut opts = ServeOptions::new(&socket);
+        opts.seed_files = files_for(&seed_state());
+        opts
+    };
+    let served = serve_on_thread(opts());
+    wait_socket(&socket);
+    let inode = || std::fs::metadata(&socket).map(|m| m.ino()).ok();
+    let first = inode();
+    let stream = UnixStream::connect(&socket).unwrap();
+
+    let second = spawn_daemon(opts());
+    for _ in 0..2_000 {
+        if inode().is_some_and(|i| Some(i) != first) {
+            break;
+        }
+        thread::sleep(Duration::from_millis(5));
+    }
+    assert_ne!(inode(), first, "the second daemon never bound");
+    shutdown_over(stream);
+    await_return(&served);
+
+    let client = Client::new(&socket);
+    let stats = client.request(&Request::Stats).unwrap();
+    assert_eq!(
+        stats_field(&stats, "requests"),
+        1,
+        "the second daemon answered something before this `stats`"
+    );
+    client.request(&Request::Shutdown).unwrap();
+    second.join().unwrap().unwrap();
+}
+
+/// Queries from several clients race a run of edits. The epoch barrier
+/// loses no connection (every request gets a decoded response), edits
+/// advance the epoch by one each, and `stats` counts exactly the
+/// connections the test opened: no wake-up or probe connection reaches a
+/// worker.
+#[test]
+fn edit_barriers_lose_and_double_count_nothing() {
+    const QUERIERS: usize = 4;
+    const EDITS: u64 = 12;
+    let socket = tmp_socket("barrier");
+    let mut opts = ServeOptions::new(&socket);
+    opts.seed_files = files_for(&seed_state());
+    // At most one connection per client thread is outstanding, so
+    // nothing is shed.
+    assert!(QUERIERS + 1 < opts.queue_cap);
+    let handle = spawn_daemon(opts);
+    wait_socket(&socket);
+    let client = Client::new(&socket);
+    let opened = AtomicU64::new(0);
+    let send = |req: &Request| {
+        opened.fetch_add(1, Ordering::SeqCst);
+        client
+            .request_once(req)
+            .unwrap_or_else(|e| panic!("{req:?}: {e}"))
+    };
+    let query = Request::Query {
+        func: "aent".into(),
+        stmt: exit_stmt(&files_for(&seed_state()), "aent"),
+        var: "ap".into(),
+        deadline_ms: None,
+    };
+
+    let editing = AtomicBool::new(true);
+    thread::scope(|s| {
+        for _ in 0..QUERIERS {
+            s.spawn(|| {
+                while editing.load(Ordering::SeqCst) {
+                    match send(&query) {
+                        Response::QueryOk { .. } => {}
+                        other => panic!("expected query_ok, got {other:?}"),
+                    }
+                }
+            });
+        }
+        // The queriers stop when the edits end, also when one fails.
+        let edits = catch_unwind(AssertUnwindSafe(|| {
+            for n in 1..=EDITS {
+                let edit = Request::Edit {
+                    file: "b.c".into(),
+                    content: Some(variant("b", n % 2)),
+                };
+                match send(&edit) {
+                    Response::EditOk { epoch, .. } => assert_eq!(epoch, n, "epochs are dense"),
+                    other => panic!("expected edit_ok, got {other:?}"),
+                }
+            }
+        }));
+        editing.store(false, Ordering::SeqCst);
+        if let Err(panic) = edits {
+            resume_unwind(panic);
+        }
+    });
+
+    let stats = send(&Request::Stats);
+    assert_eq!(stats_field(&stats, "epoch"), EDITS as i64);
+    assert_eq!(stats_field(&stats, "shed"), 0);
+    assert_eq!(
+        stats_field(&stats, "requests"),
+        opened.load(Ordering::SeqCst) as i64
+    );
     client.request(&Request::Shutdown).unwrap();
     handle.join().unwrap().unwrap();
 }
