@@ -1,20 +1,21 @@
 //! The daemon's resident source workspace.
 //!
-//! A workspace is a set of named mini-C files. Each file's **parse** is
-//! an immutable per-file artifact: an `edit` re-parses only the touched
-//! file and reuses every other file's cached [`Ast`] unchanged. The
-//! derived whole-program [`Program`] is rebuilt per epoch by
-//! concatenating the cached per-file ASTs in file-name order and
-//! lowering once — the explicit boundary between immutable per-file
-//! inputs and derived analysis state that incremental invalidation
-//! diffs across.
+//! A workspace is a set of named mini-C files. Each file's source and
+//! **parse** form an immutable per-file artifact behind an [`Arc`]: an
+//! `edit` re-parses only the touched file, and the new workspace shares
+//! every other file's artifact with the old one instead of copying it.
+//! The derived whole-program [`Program`] is rebuilt per epoch by lowering
+//! the per-file ASTs in file-name order in one pass — the explicit
+//! boundary between immutable per-file inputs and derived analysis state
+//! that incremental invalidation diffs across.
 
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use bootstrap_ir::ast::Ast;
-use bootstrap_ir::lower::lower;
+use bootstrap_ir::lower::lower_files;
 use bootstrap_ir::parse::parse;
 use bootstrap_ir::Program;
 
@@ -57,16 +58,30 @@ impl fmt::Display for WorkspaceError {
 impl std::error::Error for WorkspaceError {}
 
 /// One file's immutable artifacts: source text and its parse.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct FileArtifact {
     source: String,
     ast: Ast,
 }
 
-/// A set of named source files with cached per-file parses.
+impl FileArtifact {
+    fn parse(file: &str, source: &str) -> Result<Arc<FileArtifact>, WorkspaceError> {
+        let ast = parse(source).map_err(|e| WorkspaceError::Parse {
+            file: file.to_string(),
+            message: format!("{} at {}:{}", e.msg, e.line, e.col),
+        })?;
+        Ok(Arc::new(FileArtifact {
+            source: source.to_string(),
+            ast,
+        }))
+    }
+}
+
+/// A set of named source files with cached per-file parses. Cloning a
+/// workspace shares its files' artifacts.
 #[derive(Clone, Debug, Default)]
 pub struct Workspace {
-    files: BTreeMap<String, FileArtifact>,
+    files: BTreeMap<String, Arc<FileArtifact>>,
 }
 
 impl Workspace {
@@ -83,7 +98,8 @@ impl Workspace {
     ) -> Result<Workspace, WorkspaceError> {
         let mut ws = Workspace::new();
         for (name, source) in sources {
-            ws = ws.with_edit(name, Some(source))?;
+            ws.files
+                .insert(name.to_string(), FileArtifact::parse(name, source)?);
         }
         Ok(ws)
     }
@@ -103,7 +119,7 @@ impl Workspace {
 
     /// A copy of this workspace with one file replaced (or removed when
     /// `content` is `None`). Only the touched file is re-parsed; every
-    /// other file's cached parse is reused. The result is **not** yet
+    /// other file's artifact is shared. The result is **not** yet
     /// validated across files — call [`Workspace::lower`] to validate.
     pub fn with_edit(
         &self,
@@ -116,27 +132,18 @@ impl Workspace {
                 next.files.remove(file);
             }
             Some(source) => {
-                let ast = parse(source).map_err(|e| WorkspaceError::Parse {
-                    file: file.to_string(),
-                    message: format!("{} at {}:{}", e.msg, e.line, e.col),
-                })?;
-                next.files.insert(
-                    file.to_string(),
-                    FileArtifact {
-                        source: source.to_string(),
-                        ast,
-                    },
-                );
+                next.files
+                    .insert(file.to_string(), FileArtifact::parse(file, source)?);
             }
         }
         Ok(next)
     }
 
-    /// Merges the cached per-file ASTs (in file-name order) and lowers
-    /// the whole program. Cross-file name collisions and lowering panics
-    /// are reported as errors, never propagated.
+    /// Lowers the cached per-file ASTs, in file-name order, into one
+    /// program: the program their merged AST gives. Cross-file name
+    /// collisions and lowering panics are reported as errors, never
+    /// propagated.
     pub fn lower(&self) -> Result<Program, WorkspaceError> {
-        let mut merged = Ast::default();
         let mut funcs: HashSet<&str> = HashSet::new();
         let mut globals: HashSet<&str> = HashSet::new();
         let mut structs: HashSet<&str> = HashSet::new();
@@ -166,12 +173,9 @@ impl Workspace {
                     });
                 }
             }
-            merged.structs.extend(ast.structs.iter().cloned());
-            merged.globals.extend(ast.globals.iter().cloned());
-            merged.funcs.extend(ast.funcs.iter().cloned());
-            merged.source_lines += ast.source_lines;
         }
-        catch_unwind(AssertUnwindSafe(|| lower(&merged)))
+        let asts = self.files.values().map(|artifact| &artifact.ast);
+        catch_unwind(AssertUnwindSafe(|| lower_files(asts)))
             .map_err(|p| WorkspaceError::Lower(panic_text(&p)))
     }
 }
@@ -245,5 +249,49 @@ mod tests {
     #[test]
     fn empty_workspace_lowers() {
         assert!(Workspace::new().lower().is_ok());
+    }
+
+    #[test]
+    fn an_edit_shares_every_untouched_file() {
+        let ws = Workspace::from_sources([
+            ("a.c", "void main() { }"),
+            ("b.c", "int *idy(int *r) { return r; }"),
+        ])
+        .unwrap();
+        let ws2 = ws
+            .with_edit("b.c", Some("int *idy(int *r) { int *t; t = r; return t; }"))
+            .unwrap();
+        assert!(Arc::ptr_eq(&ws.files["a.c"], &ws2.files["a.c"]));
+        assert!(!Arc::ptr_eq(&ws.files["b.c"], &ws2.files["b.c"]));
+    }
+
+    #[test]
+    fn lowering_equals_lowering_the_merged_ast_in_name_order() {
+        let files = [
+            ("c.c", "void main() { int *p; p = idy(&g); s.fst = p; }"),
+            ("a.c", "struct pair { int *fst; int *snd; };\nint g;"),
+            (
+                "b.c",
+                "struct pair s;\nint *idy(int *r) { if (g) { return r; } return r; }",
+            ),
+        ];
+        let ws = Workspace::from_sources(files).unwrap();
+        let mut sorted = files;
+        sorted.sort();
+        let mut merged = Ast::default();
+        for (_, source) in sorted {
+            let ast = parse(source).unwrap();
+            merged.structs.extend(ast.structs);
+            merged.globals.extend(ast.globals);
+            merged.funcs.extend(ast.funcs);
+            merged.source_lines += ast.source_lines;
+        }
+        let (split, whole) = (ws.lower().unwrap(), bootstrap_ir::lower::lower(&merged));
+        let names = |p: &Program| -> Vec<String> {
+            p.var_ids().map(|v| p.var(v).name().to_string()).collect()
+        };
+        assert_eq!(names(&split), names(&whole));
+        assert_eq!(split.to_string(), whole.to_string());
+        assert_eq!(split.source_lines(), whole.source_lines());
     }
 }

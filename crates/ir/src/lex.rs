@@ -2,15 +2,16 @@
 
 use std::fmt;
 
-/// A lexical token kind.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Tok {
+/// A lexical token kind. Identifiers and string literals borrow the
+/// source text, so no token allocates.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tok<'src> {
     /// An identifier or keyword.
-    Ident(String),
+    Ident(&'src str),
     /// An integer literal.
     Num(i64),
     /// A string literal (contents, without the quotes).
-    Str(String),
+    Str(&'src str),
     /// `(`
     LParen,
     /// `)`
@@ -54,7 +55,7 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "identifier `{s}`"),
@@ -85,10 +86,10 @@ impl fmt::Display for Tok {
 }
 
 /// A token with its source position (1-based line and column).
-#[derive(Clone, Debug)]
-pub struct Token {
+#[derive(Clone, Copy, Debug)]
+pub struct Token<'src> {
     /// The token kind.
-    pub tok: Tok,
+    pub tok: Tok<'src>,
     /// 1-based source line.
     pub line: u32,
     /// 1-based source column.
@@ -123,7 +124,7 @@ impl std::error::Error for LexError {}
 ///
 /// Returns a [`LexError`] on unterminated block comments or characters that
 /// are not part of mini-C.
-pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
+pub fn tokenize(src: &str) -> Result<Vec<Token<'_>>, LexError> {
     let bytes = src.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0;
@@ -318,8 +319,10 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
                     i += 1;
                     col += 1;
                 }
+                // Both ends are ASCII quotes, so the slice is on character
+                // boundaries.
                 toks.push(Token {
-                    tok: Tok::Str(String::from_utf8_lossy(&bytes[start..i]).into_owned()),
+                    tok: Tok::Str(&src[start..i]),
                     line: sl,
                     col: sc,
                 });
@@ -332,7 +335,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
                     i += 1;
                 }
                 toks.push(Token {
-                    tok: Tok::Ident(src[start..i].to_string()),
+                    tok: Tok::Ident(&src[start..i]),
                     line,
                     col,
                 });
@@ -362,7 +365,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Tok> {
+    fn kinds(src: &str) -> Vec<Tok<'_>> {
         tokenize(src).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
@@ -372,10 +375,10 @@ mod tests {
             kinds("*x = &y;"),
             vec![
                 Tok::Star,
-                Tok::Ident("x".into()),
+                Tok::Ident("x"),
                 Tok::Eq,
                 Tok::Amp,
-                Tok::Ident("y".into()),
+                Tok::Ident("y"),
                 Tok::Semi,
                 Tok::Eof
             ]
@@ -387,9 +390,9 @@ mod tests {
         assert_eq!(
             kinds("p->f - 1"),
             vec![
-                Tok::Ident("p".into()),
+                Tok::Ident("p"),
                 Tok::Arrow,
-                Tok::Ident("f".into()),
+                Tok::Ident("f"),
                 Tok::Minus,
                 Tok::Num(1),
                 Tok::Eof
@@ -401,7 +404,7 @@ mod tests {
     fn skips_comments() {
         assert_eq!(
             kinds("a // line\n /* block\n comment */ b"),
-            vec![Tok::Ident("a".into()), Tok::Ident("b".into()), Tok::Eof]
+            vec![Tok::Ident("a"), Tok::Ident("b"), Tok::Eof]
         );
     }
 
@@ -428,9 +431,9 @@ mod tests {
         assert_eq!(
             kinds(r#"x = "hi \"there\"";"#),
             vec![
-                Tok::Ident("x".into()),
+                Tok::Ident("x"),
                 Tok::Eq,
-                Tok::Str(r#"hi \"there\""#.into()),
+                Tok::Str(r#"hi \"there\""#),
                 Tok::Semi,
                 Tok::Eof
             ]
@@ -458,19 +461,19 @@ mod tests {
         assert_eq!(
             kinds("c = 'a'; d = '\\n'; e = 0xFF; f = 100UL;"),
             vec![
-                Tok::Ident("c".into()),
+                Tok::Ident("c"),
                 Tok::Eq,
                 Tok::Num(97),
                 Tok::Semi,
-                Tok::Ident("d".into()),
+                Tok::Ident("d"),
                 Tok::Eq,
                 Tok::Num(10),
                 Tok::Semi,
-                Tok::Ident("e".into()),
+                Tok::Ident("e"),
                 Tok::Eq,
                 Tok::Num(255),
                 Tok::Semi,
-                Tok::Ident("f".into()),
+                Tok::Ident("f"),
                 Tok::Eq,
                 Tok::Num(100),
                 Tok::Semi,
@@ -483,12 +486,7 @@ mod tests {
     fn lexes_percent() {
         assert_eq!(
             kinds("a % b"),
-            vec![
-                Tok::Ident("a".into()),
-                Tok::Percent,
-                Tok::Ident("b".into()),
-                Tok::Eof
-            ]
+            vec![Tok::Ident("a"), Tok::Percent, Tok::Ident("b"), Tok::Eof]
         );
     }
 
@@ -504,17 +502,17 @@ mod tests {
         assert_eq!(
             kinds("a == b != c && d || e <= f"),
             vec![
-                Tok::Ident("a".into()),
+                Tok::Ident("a"),
                 Tok::CmpOp("=="),
-                Tok::Ident("b".into()),
+                Tok::Ident("b"),
                 Tok::CmpOp("!="),
-                Tok::Ident("c".into()),
+                Tok::Ident("c"),
                 Tok::CmpOp("&&"),
-                Tok::Ident("d".into()),
+                Tok::Ident("d"),
                 Tok::CmpOp("||"),
-                Tok::Ident("e".into()),
+                Tok::Ident("e"),
                 Tok::CmpOp("<="),
-                Tok::Ident("f".into()),
+                Tok::Ident("f"),
                 Tok::Eof
             ]
         );
