@@ -180,7 +180,7 @@ struct Intake {
 /// How an epoch's serving scope wound down.
 enum EpochOutcome {
     /// An edit was accepted; the next epoch serves it.
-    Edit(PendingEdit),
+    Edit(Box<PendingEdit>),
     Shutdown,
 }
 
@@ -270,6 +270,7 @@ impl Daemon {
             match outcome {
                 EpochOutcome::Shutdown => return,
                 EpochOutcome::Edit(edit) => {
+                    let edit = *edit;
                     workspace = edit.workspace;
                     program = edit.program;
                     epoch += 1;
@@ -423,7 +424,7 @@ impl Daemon {
                         workspace,
                         program,
                     };
-                    return (EpochOutcome::Edit(edit), snap);
+                    return (EpochOutcome::Edit(Box::new(edit)), snap);
                 }
                 Err(e) => self.reject_edit(&mut reply, &e),
             }
